@@ -61,7 +61,7 @@ double RunMode(const std::string& algo, const engine::EstimatorConfig& config,
   for (int trial = 0; trial < trials; ++trial) {
     auto estimator = engine::MakeEstimator(algo, config);
     TRISTREAM_CHECK(estimator.ok()) << estimator.status();
-    engine::StreamEngineOptions options;
+    engine::SessionOptions options;
     options.checkpoint_path = checkpoint_path;
     options.checkpoint_every_edges = checkpoint_path.empty() ? 0 : every;
     engine::StreamEngine eng(options);

@@ -1,18 +1,14 @@
-// Parallel-substrate scaling sweep: ingest throughput of the sharded
-// counter at 1..8 threads, pooled/pipelined execution (unpinned and with
-// topology pinning) vs the legacy spawn-a-thread-per-shard-per-batch
-// baseline at equal batch size.
+// Parallel scaling sweep: ingest throughput of the sharded counter at
+// 1..8 threads, unpinned and pinned, with every row's speedup quoted
+// against the best 1-thread row at equal batch size.
 //
-// This is an engineering benchmark (no paper figure): it tracks the
-// per-edge constant the pipeline attacks -- thread-creation cost per
-// batch and the ingest/absorb serialization. Estimates are asserted
-// bit-identical between substrates for each (seed, threads) pair, so the
-// sweep doubles as a determinism check.
+// This is an engineering benchmark (no paper figure). Estimates are
+// asserted bit-identical between the pinned and unpinned rows for each
+// (seed, threads) pair, so the sweep doubles as a determinism check.
 //
 // The default operating point uses small batches on purpose: that is the
-// regime where the per-batch substrate cost (thread creation, wakeup,
-// barrier) dominates per-edge work, which is the constant this bench
-// exists to track. Crank TRISTREAM_BENCH_BATCH up to measure the
+// regime where the per-batch dispatch cost (wakeup, barrier) dominates
+// per-edge work. Crank TRISTREAM_BENCH_BATCH up to measure the
 // compute-bound regime instead.
 //
 // Output: human-readable table on stderr, one machine-readable JSON
@@ -27,6 +23,7 @@
 // to on this host, so trajectory diffs can tell an avx512 row from a
 // scalar-fallback row.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -43,30 +40,28 @@ using namespace tristream;
 
 struct Measurement {
   std::uint32_t threads = 0;
-  bool pipelined = false;
   bool pinned = false;
   double median_seconds = 0.0;
   double meps = 0.0;  // million edges/second, ingest + final flush
+  double speedup = 0.0;  // best 1-thread row's seconds / this row's
   double triangles = 0.0;
   double wedges = 0.0;
 };
 
 Measurement RunOne(const bench::DatasetInstance& instance, std::uint64_t r,
-                   std::size_t batch, std::uint32_t threads, bool pipeline,
-                   bool pin, SimdMode simd, int trials) {
+                   std::size_t batch, std::uint32_t threads, bool pin,
+                   SimdMode simd, int trials) {
   std::vector<double> seconds;
   Measurement out;
   out.threads = threads;
-  out.pipelined = pipeline;
   out.pinned = pin;
   for (int trial = 0; trial < trials; ++trial) {
     core::ParallelCounterOptions options;
     options.num_estimators = r;
     options.num_threads = threads;
-    options.seed = bench::BenchSeed() * 7919 + 13;  // fixed across modes
+    options.seed = bench::BenchSeed() * 7919 + 13;  // fixed across rows
     options.batch_size = batch;
-    options.use_pipeline = pipeline;
-    options.topology.pin_threads = pin;
+    options.pin_threads = pin;
     options.simd = simd;
     engine::ParallelEstimator estimator(options);
     WallTimer timer;
@@ -105,7 +100,8 @@ int main() {
   const char* isa_name = SimdIsaName(*ResolveSimdIsa(simd));
 
   std::fprintf(stderr,
-               "parallel scaling sweep: pooled pipeline vs spawn-per-batch\n"
+               "parallel scaling sweep: unpinned vs pinned, speedup vs the "
+               "best 1-thread row\n"
                "r=%llu batch=%zu trials=%d scale=%.3g simd=%s (isa %s)\n",
                static_cast<unsigned long long>(r), batch, trials,
                bench::BenchScale(), SimdModeName(simd), isa_name);
@@ -116,44 +112,38 @@ int main() {
                static_cast<unsigned long long>(
                    (instance.stream.size() + batch - 1) / batch));
   std::fprintf(stderr, "%8s | %10s | %12s | %12s | %9s\n", "threads", "mode",
-               "seconds", "Medges/s", "vs spawn");
+               "seconds", "Medges/s", "vs 1T");
 
   std::vector<Measurement> results;
   bool bit_identical = true;
+  // The sweep starts at one thread, so the baseline is fixed before any
+  // multi-thread row is printed.
+  double best_1t_seconds = 0.0;
   for (std::uint32_t threads = 1; threads <= max_threads; threads *= 2) {
-    const Measurement spawn = RunOne(instance, r, batch, threads,
-                                     /*pipeline=*/false, /*pin=*/false,
-                                     simd, trials);
-    const Measurement pooled = RunOne(instance, r, batch, threads,
-                                      /*pipeline=*/true, /*pin=*/false,
-                                      simd, trials);
-    // Pinned rows track the topology substrate (PR 5) in the same
-    // trajectory as the PR 1 spawn-vs-pipeline numbers.
-    const Measurement pinned = RunOne(instance, r, batch, threads,
-                                      /*pipeline=*/true, /*pin=*/true,
-                                      simd, trials);
-    // Same (seed, threads) => all substrates must agree to the last bit.
-    if (spawn.triangles != pooled.triangles ||
-        spawn.wedges != pooled.wedges ||
-        spawn.triangles != pinned.triangles ||
-        spawn.wedges != pinned.wedges) {
+    const Measurement unpinned =
+        RunOne(instance, r, batch, threads, /*pin=*/false, simd, trials);
+    const Measurement pinned =
+        RunOne(instance, r, batch, threads, /*pin=*/true, simd, trials);
+    // Same (seed, threads) => placement must not change a single bit.
+    if (unpinned.triangles != pinned.triangles ||
+        unpinned.wedges != pinned.wedges) {
       bit_identical = false;
       std::fprintf(stderr, "ERROR: estimates diverge at %u threads!\n",
                    threads);
     }
-    for (const Measurement& m : {spawn, pooled, pinned}) {
-      std::fprintf(stderr, "%8u | %10s | %12.4f | %12.2f | %8.2fx\n",
-                   m.threads,
-                   !m.pipelined ? "spawn"
-                                : (m.pinned ? "pinned" : "pipeline"),
-                   m.median_seconds, m.meps,
-                   spawn.median_seconds > 0.0
-                       ? spawn.median_seconds / m.median_seconds
-                       : 0.0);
+    if (threads == 1) {
+      best_1t_seconds =
+          std::min(unpinned.median_seconds, pinned.median_seconds);
     }
-    results.push_back(spawn);
-    results.push_back(pooled);
-    results.push_back(pinned);
+    for (Measurement m : {unpinned, pinned}) {
+      m.speedup = m.median_seconds > 0.0
+                      ? best_1t_seconds / m.median_seconds
+                      : 0.0;
+      std::fprintf(stderr, "%8u | %10s | %12.4f | %12.2f | %8.2fx\n",
+                   m.threads, m.pinned ? "pinned" : "unpinned",
+                   m.median_seconds, m.meps, m.speedup);
+      results.push_back(m);
+    }
   }
 
   // Machine-readable trajectory record.
@@ -168,14 +158,14 @@ int main() {
   std::printf("  \"simd\": \"%s\",\n", SimdModeName(simd));
   std::printf("  \"simd_isa\": \"%s\",\n", isa_name);
   std::printf("  \"bit_identical\": %s,\n", bit_identical ? "true" : "false");
+  std::printf("  \"best_1t_seconds\": %.6f,\n", best_1t_seconds);
   std::printf("  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Measurement& m = results[i];
-    std::printf("    {\"threads\": %u, \"mode\": \"%s\", \"pinned\": %s, "
-                "\"seconds\": %.6f, \"meps\": %.4f}%s\n",
-                m.threads, m.pipelined ? "pipeline" : "spawn",
-                m.pinned ? "true" : "false", m.median_seconds, m.meps,
-                i + 1 < results.size() ? "," : "");
+    std::printf("    {\"threads\": %u, \"pinned\": %s, \"seconds\": %.6f, "
+                "\"meps\": %.4f, \"speedup_vs_best_1t\": %.4f}%s\n",
+                m.threads, m.pinned ? "true" : "false", m.median_seconds,
+                m.meps, m.speedup, i + 1 < results.size() ? "," : "");
   }
   std::printf("  ]\n}\n");
   return bit_identical ? 0 : 1;

@@ -77,7 +77,7 @@ double IsolatedReference(const BenchConfig& cfg, const graph::EdgeList& el) {
   auto est = engine::MakeEstimator(opts.algo, opts.config);
   TRISTREAM_CHECK(est.ok()) << est.status();
   stream::MemoryEdgeStream source(el);
-  engine::StreamEngineOptions engine_options;
+  engine::SessionOptions engine_options;
   engine_options.batch_size = cfg.batch;
   engine::StreamEngine eng(engine_options);
   const Status s = eng.Run(**est, source);

@@ -91,11 +91,11 @@ struct TrialResult {
 /// Drives `estimator` over an in-memory stream through the unified engine
 /// -- the same driver the CLI and tests use, so every bench measures the
 /// production ingest path. Returns the engine's metrics for the run.
-inline engine::StreamEngineMetrics RunThroughEngine(
+inline engine::SessionMetrics RunThroughEngine(
     engine::StreamingEstimator& estimator, const graph::EdgeList& stream,
     std::size_t batch_size = 0) {
   stream::MemoryEdgeStream source(stream);
-  engine::StreamEngineOptions options;
+  engine::SessionOptions options;
   options.batch_size = batch_size;
   engine::StreamEngine eng(options);
   const Status streamed = eng.Run(estimator, source);

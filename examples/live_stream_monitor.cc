@@ -116,12 +116,12 @@ int main() {
   // Drive the live feed through the engine; 1000-edge batches keep the
   // report points aligned with the phase boundaries when the producer
   // keeps the queue full, and the reporting hook walks the phase table.
-  engine::StreamEngineOptions engine_options;
+  engine::SessionOptions engine_options;
   engine_options.batch_size = 1000;
   engine_options.report_every_edges = 1000;
   engine_options.on_report = [&next_report](
                                  engine::StreamingEstimator& est,
-                                 const engine::StreamEngineMetrics&) {
+                                 const engine::SessionMetrics&) {
     while (next_report < std::size(kReports) &&
            est.edges_processed() >= kReports[next_report].at) {
       const double tau_hat = est.EstimateTriangles();

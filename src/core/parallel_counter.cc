@@ -7,6 +7,7 @@
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/topology.h"
 
 namespace tristream {
 namespace core {
@@ -55,69 +56,29 @@ ParallelTriangleCounter::ParallelTriangleCounter(
                                                threads);
   if (batch_size_ == 0) batch_size_ = 1;
   buffers_[0].reserve(batch_size_);
-
-  if (!options.use_pipeline) {
-    // Legacy spawn-per-batch substrate: construct shards inline (no
-    // persistent workers to place them on) and skip all placement
-    // machinery -- a single-node layout by definition.
-    slot_node_.assign(threads, 0);
-    node_leader_.push_back(0);
-    node_views_.resize(1);
-    for (std::uint32_t t = 0; t < threads; ++t) {
-      shards_[t] = std::make_unique<TriangleCounter>(shard_opts[t]);
-    }
-    return;
-  }
-
-  // Plan slot -> (cpu, node). On a single node (the fallback everywhere
-  // topology information is absent or disabled) every slot maps to node 0
-  // and nothing below stages or pins.
-  const Topology topo = ResolveTopology(options.topology);
-  const auto plan = topo.PlanSlots(threads);
-  slot_node_.resize(threads);
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    const int node = plan[t].node;
-    slot_node_[t] = node;
-    if (static_cast<std::size_t>(node) >= node_leader_.size()) {
-      node_leader_.resize(static_cast<std::size_t>(node) + 1, threads);
-    }
-    if (node_leader_[node] == threads) node_leader_[node] = t;
-  }
-  if (node_leader_.empty()) node_leader_.push_back(0);
-  node_views_.resize(node_leader_.size());
-
   buffers_[1].reserve(batch_size_);
+
+  // Plan slot -> cpu only when pinning: the plan never affects results.
   ThreadPoolOptions pool_opts;
-  if (options.topology.pin_threads) {
+  if (options.pin_threads) {
+    const auto plan = Topology::Detect().PlanSlots(threads);
     pool_opts.pin_cpus.resize(threads, -1);
     for (std::uint32_t t = 0; t < threads; ++t) {
       pool_opts.pin_cpus[t] = plan[t].cpu;
     }
   }
   pool_ = std::make_unique<ThreadPool>(threads, pool_opts);
-  all_pinned_ = options.topology.pin_threads;
+  all_pinned_ = options.pin_threads;
   for (std::uint32_t t = 0; t < threads && all_pinned_; ++t) {
     all_pinned_ = pool_->pinned(t);
   }
 
-  if (node_leader_.size() > 1) {
-    node_staging_.resize(node_leader_.size());
-    staging_capacity_ = batch_size_;
-  }
   // Construction generation: shard k is built by worker k (after any
   // pinning), so its estimator arrays and scratch tables are first-touched
-  // on the worker's own node. Node leaders also pre-touch their node's
-  // staging buffers for the same reason. The shard seeds were fixed
+  // by the thread that absorbs into them. The shard seeds were fixed
   // above, so where construction runs cannot affect results.
   pool_->Dispatch([this, &shard_opts](std::size_t slot) {
     shards_[slot] = std::make_unique<TriangleCounter>(shard_opts[slot]);
-    const int node = slot_node_[slot];
-    if (!node_staging_.empty() && node_leader_[node] == slot) {
-      for (std::vector<Edge>& stage : node_staging_[node]) {
-        stage.resize(staging_capacity_);  // value-init commits pages on-node
-        stage.clear();                    // keeps the capacity
-      }
-    }
   });
   pool_->Wait();
   // Publish the steady-state absorb task now: the construction lambda
@@ -128,7 +89,7 @@ ParallelTriangleCounter::ParallelTriangleCounter(
 
 void ParallelTriangleCounter::PublishAbsorbTask() {
   pool_->SetTask([this](std::size_t slot) {
-    shards_[slot]->ProcessEdges(node_views_[slot_node_[slot]]);
+    shards_[slot]->ProcessEdges(view_);
     shards_[slot]->Flush();
   });
   absorb_task_published_ = true;
@@ -140,19 +101,9 @@ ParallelTriangleCounter::~ParallelTriangleCounter() {
   // pool_ is destroyed first).
 }
 
-bool ParallelTriangleCounter::pinned() const {
-  return pool_ != nullptr && all_pinned_;
-}
-
-void ParallelTriangleCounter::SetSourceTraits(bool stable_views,
-                                              bool replicate_stable_views) {
-  source_stable_views_ = stable_views;
-  replicate_stable_views_ = replicate_stable_views;
-}
-
 void ParallelTriangleCounter::ProcessEdge(const Edge& e) {
   buffers_[fill_].push_back(e);
-  if (buffers_[fill_].size() >= batch_size_) DispatchFillBuffer();
+  if (buffers_[fill_].size() >= batch_size_) DispatchView(buffers_[fill_]);
 }
 
 void ParallelTriangleCounter::ProcessEdges(std::span<const Edge> edges) {
@@ -164,117 +115,40 @@ void ParallelTriangleCounter::ProcessEdges(std::span<const Edge> edges) {
     fill.insert(fill.end(), edges.begin() + offset,
                 edges.begin() + offset + take);
     offset += take;
-    if (fill.size() >= batch_size_) DispatchFillBuffer();
+    if (fill.size() >= batch_size_) DispatchView(fill);
   }
 }
 
 void ParallelTriangleCounter::AbsorbBatchView(std::span<const Edge> view) {
   // Dispatch any partially filled buffer first so previously pushed edges
   // keep their stream order ahead of the view's.
-  if (!buffers_[fill_].empty()) DispatchFillBuffer();
-  if (view.empty()) return;
-  // Stable source views keep the zero-copy broadcast unless the caller
-  // opted into per-node replication; engine staging buffers (non-stable
-  // sources) are always worth staging per node, since their pages live on
-  // the ingest thread's node anyway.
-  DispatchView(view, !source_stable_views_ || replicate_stable_views_);
+  if (!buffers_[fill_].empty()) DispatchView(buffers_[fill_]);
+  if (!view.empty()) DispatchView(view);
 }
 
 void ParallelTriangleCounter::Flush() {
-  if (!buffers_[fill_].empty()) DispatchFillBuffer();
+  if (!buffers_[fill_].empty()) DispatchView(buffers_[fill_]);
   WaitForInFlight();
 }
 
-void ParallelTriangleCounter::DispatchFillBuffer() {
-  std::vector<Edge>& batch = buffers_[fill_];
-  // The fill buffer lives on the caller's node; on a multi-node topology
-  // stage it per node like any other caller-side buffer.
-  DispatchView(std::span<const Edge>(batch), /*replicate=*/true);
-  // Pipelined dispatch already swapped to (and cleared) the other buffer;
-  // the legacy path finished synchronously, so reuse this one.
-  if (pool_ == nullptr) batch.clear();
-}
-
-void ParallelTriangleCounter::DispatchView(std::span<const Edge> view,
-                                           bool replicate) {
+void ParallelTriangleCounter::DispatchView(std::span<const Edge> view) {
   aggregates_valid_ = false;
-  if (pool_ != nullptr) {
-    const bool staging = !node_staging_.empty() && replicate;
-    if (staging && view.size() > staging_capacity_) {
-      // A view larger than the pre-touched replicas (an engine batch size
-      // above the counter's own w, e.g. under autotuning) must not make
-      // assign() reallocate on the caller's node: grow the replicas
-      // inside a generation so each node's leader first-touches the new
-      // pages on-node. Rare -- at most a few growths per run.
-      staging_capacity_ = view.size();
-      WaitForInFlight();
-      pool_->Dispatch([this](std::size_t slot) {
-        const int node = slot_node_[slot];
-        if (node_leader_[node] == slot) {
-          for (std::vector<Edge>& stage : node_staging_[node]) {
-            stage.resize(staging_capacity_);
-            stage.clear();
-          }
-        }
-      });
-      absorb_task_published_ = false;  // one-shot replaced the absorb task
-      pool_->Wait();
-    }
-    if (staging) {
-      // Stage one replica per node into the *idle* staging half while the
-      // workers may still be absorbing the previous batch out of the
-      // other half -- the copy overlaps compute exactly like the fill
-      // buffers do. After this loop the caller's view is no longer
-      // referenced at all.
-      for (std::size_t node = 0; node < node_staging_.size(); ++node) {
-        node_staging_[node][stage_fill_].assign(view.begin(), view.end());
-      }
-    }
-    // Pipelined: hand the views to the workers and return to ingesting.
-    WaitForInFlight();
-    if (staging) {
-      for (std::size_t node = 0; node < node_staging_.size(); ++node) {
-        node_views_[node] =
-            std::span<const Edge>(node_staging_[node][stage_fill_]);
-      }
-      stage_fill_ ^= 1;
-    } else {
-      // Broadcast: every node reads the same view (single-node topology,
-      // or a stable zero-copy source without the replication opt-in).
-      for (std::span<const Edge>& node_view : node_views_) node_view = view;
-    }
-    // The batch travels through members, not lambda captures: the absorb
-    // task is published once (SetTask) and re-dispatched per batch, so
-    // the steady-state dispatch constructs no std::function at all.
-    if (!absorb_task_published_) PublishAbsorbTask();
-    pool_->Dispatch();
-    in_flight_ = true;
-    dispatched_edges_ += view.size();
-    fill_ ^= 1;
-    buffers_[fill_].clear();
-    return;
-  }
-  // Legacy substrate: one fresh thread per shard per batch, joined before
-  // returning (no ingest/absorb overlap).
-  if (shards_.size() == 1) {
-    shards_[0]->ProcessEdges(view);
-    shards_[0]->Flush();
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      workers.emplace_back([&shard, view] {
-        shard->ProcessEdges(view);
-        shard->Flush();
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
+  WaitForInFlight();
+  view_ = view;
+  // The batch travels through view_, not a lambda capture: the absorb
+  // task is published once (SetTask) and re-dispatched per batch, so the
+  // steady-state dispatch constructs no std::function at all.
+  if (!absorb_task_published_) PublishAbsorbTask();
+  pool_->Dispatch();
+  in_flight_ = true;
   dispatched_edges_ += view.size();
+  // Keep filling the other buffer while the workers absorb this one.
+  fill_ ^= 1;
+  buffers_[fill_].clear();
 }
 
 void ParallelTriangleCounter::WaitForInFlight() {
-  if (pool_ != nullptr && in_flight_) {
+  if (in_flight_) {
     pool_->Wait();
     in_flight_ = false;
   }
@@ -286,23 +160,16 @@ void ParallelTriangleCounter::EnsureAggregates() {
   // Contract after Flush: nothing in flight, nothing buffered.
   TRISTREAM_DCHECK(!in_flight_);
   TRISTREAM_DCHECK(buffers_[fill_].empty());
-  if (pool_ != nullptr) {
-    // The reduction generation: slot k folds shard k on its own worker,
-    // so reading an estimate costs the caller O(shards), not O(r). This
-    // replaces the published absorb task; the next batch dispatch
-    // republishes it.
-    pool_->Dispatch([this](std::size_t slot) {
-      partials_[slot] = shards_[slot]->ComputePartials(
-          shard_first_[slot], options_.num_estimators, partial_groups_);
-    });
-    absorb_task_published_ = false;
-    pool_->Wait();
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      partials_[s] = shards_[s]->ComputePartials(
-          shard_first_[s], options_.num_estimators, partial_groups_);
-    }
-  }
+  // The reduction generation: slot k folds shard k on its own worker, so
+  // reading an estimate costs the caller O(shards), not O(r). This
+  // replaces the published absorb task; the next batch dispatch
+  // republishes it.
+  pool_->Dispatch([this](std::size_t slot) {
+    partials_[slot] = shards_[slot]->ComputePartials(
+        shard_first_[slot], options_.num_estimators, partial_groups_);
+  });
+  absorb_task_published_ = false;
+  pool_->Wait();
 
   const bool grouped = partial_groups_ > 1 &&
                        options_.num_estimators > partial_groups_;

@@ -13,8 +13,8 @@
 //
 // Execution substrate (pipeline/barrier protocol)
 // -----------------------------------------------
-// In the default pipelined mode the counter owns a persistent
-// util::ThreadPool with one slot per shard and two edge buffers:
+// The counter owns a persistent util::ThreadPool with one slot per shard
+// and two edge buffers:
 //
 //   caller thread:   fill buffer A  | fill buffer B   | fill buffer A ...
 //   pool workers:                   | absorb buffer A | absorb buffer B ...
@@ -28,40 +28,17 @@
 // so shards need no locking. Flush() dispatches any partial batch and then
 // waits -- a full barrier, after which estimates may be read.
 //
-// Because the generation barrier preserves exactly the batch boundaries
-// and per-shard batch order of the serial path, pipelining changes *when*
-// work happens but not *what* each shard computes: estimates are
-// bit-identical to the legacy spawn-per-batch mode (and to a single
-// TriangleCounter per shard fed the same batches) for a fixed
-// (seed, num_threads) pair.
+// Because the generation barrier preserves the batch boundaries and the
+// per-shard batch order, pipelining changes *when* work happens but not
+// *what* each shard computes: estimates are bit-identical to T serial
+// TriangleCounters seeded the way the constructor seeds its shards and fed
+// the same batches (parallel_counter_test locks this).
 //
-// Topology-aware placement (options.topology)
-// -------------------------------------------
-// On multi-socket hardware the broadcast pays the interconnect twice:
-// every remote shard streams the batch across sockets, and each shard's
-// estimator arrays live on whatever node the constructing thread
-// first-touched them. The substrate fixes both:
-//
-//   * Slot k is planned onto a (cpu, node) by util::Topology, round-robin
-//     across nodes; with pin_threads the pool binds the worker there.
-//   * Shards are constructed *inside a pool generation*, so shard k's
-//     cold_/c_/scratch tables are first-touched by worker k -- node-local
-//     estimator state instead of all shards on the caller's node.
-//   * With more than one node, dispatched batches are staged once per
-//     node (double-buffered per-node replicas, first-touched on-node)
-//     and each worker absorbs its own node's replica -- one interconnect
-//     crossing per node per batch instead of one per remote shard.
-//     Stable zero-copy views (mmap) keep the broadcast by default;
-//     SetSourceTraits' replicate flag (engine
-//     StreamEngineOptions::replicate_stable_views) opts them into the
-//     same per-node copy.
-//
-// On a single node -- laptops, CI containers, numa=kOff, non-Linux -- all
-// of this degrades to exactly the PR 1 substrate: no staging copies, no
-// pinning, same allocations. Placement never changes what is computed:
-// shard seeds, batch boundaries, and aggregation are independent of where
-// threads run, so estimates stay bit-identical across every
-// topology/pinning/staging configuration for a fixed (seed, num_threads).
+// Pinning (options.pin_threads) binds slot k to the cpu util::Topology
+// plans for it, round-robin across NUMA nodes. Shards are constructed
+// inside a pool generation, so shard k's estimator arrays are
+// first-touched by worker k -- on its own node when pinned. Placement
+// never changes what is computed.
 //
 // Zero-copy ingest: engine::StreamEngine drives any stream::EdgeStream
 // through AbsorbBatchView(). Sources with stable views (mmap'd TRIS
@@ -77,9 +54,8 @@
 // boundaries replicate util::MedianOfMeans over the virtual concatenated
 // vector, so the aggregate is the same statistic regardless of sharding.
 //
-// Determinism: runs are reproducible for a fixed (seed, num_threads) pair
-// (neither the execution mode, the ingest path, nor the topology
-// configuration affects them).
+// Determinism: runs are reproducible for a fixed (seed, num_threads,
+// batch) triple (neither the ingest path nor pinning affects them).
 
 #ifndef TRISTREAM_CORE_PARALLEL_COUNTER_H_
 #define TRISTREAM_CORE_PARALLEL_COUNTER_H_
@@ -92,7 +68,6 @@
 
 #include "core/triangle_counter.h"
 #include "util/thread_pool.h"
-#include "util/topology.h"
 #include "util/types.h"
 
 namespace tristream {
@@ -109,16 +84,10 @@ struct ParallelCounterOptions {
   std::uint32_t median_groups = 12;
   /// Shared batch size w (0 = 8 * num_estimators / num_threads per shard).
   std::size_t batch_size = 0;
-  /// Pipelined execution on a persistent thread pool (double-buffered
-  /// batches; see the file comment). false selects the legacy
-  /// spawn-a-thread-per-shard-per-batch path, kept for substrate
-  /// benchmarking (bench_parallel_scaling) and differential testing;
-  /// estimates are bit-identical either way.
-  bool use_pipeline = true;
-  /// Placement policy: pinning, NUMA detection, per-node staging (see the
-  /// file comment). Applies to the pipelined substrate; the legacy spawn
-  /// path ignores it.
-  TopologyOptions topology;
+  /// Pin pool slot k to its planned cpu (see the file comment). Off by
+  /// default: pinning helps when shards own their cores and hurts when the
+  /// machine is shared.
+  bool pin_threads = false;
   /// Vector ISA for each shard's lane sweeps (forwarded to
   /// TriangleCounterOptions::simd; same bit-identity contract, same
   /// exclusion from the checkpoint fingerprint).
@@ -136,25 +105,15 @@ class ParallelTriangleCounter {
   void ProcessEdges(std::span<const Edge> edges);
 
   /// Absorbs `view` as exactly one batch on every shard, with no staging
-  /// copy on a single-node topology -- the zero-copy dispatch hook
-  /// engine::StreamEngine drives (after flushing any partially filled
-  /// ProcessEdge buffer, so previously pushed edges keep their stream
-  /// order ahead of the view's). On a multi-node topology the view may be
-  /// staged per node first (see SetSourceTraits). May return while
-  /// workers are still absorbing; the view must stay valid until the next
-  /// AbsorbBatchView or Flush call. Views of at most batch_size() edges
-  /// reproduce ProcessEdges' batch boundaries, keeping estimates
-  /// bit-identical across ingest paths for a fixed (seed, num_threads).
+  /// copy -- the zero-copy dispatch hook engine::StreamEngine drives
+  /// (after flushing any partially filled ProcessEdge buffer, so
+  /// previously pushed edges keep their stream order ahead of the
+  /// view's). May return while workers are still absorbing; the view must
+  /// stay valid until the next AbsorbBatchView or Flush call. Views of at
+  /// most batch_size() edges reproduce ProcessEdges' batch boundaries,
+  /// keeping estimates bit-identical across ingest paths for a fixed
+  /// (seed, num_threads).
   void AbsorbBatchView(std::span<const Edge> view);
-
-  /// Tells the counter what the views handed to AbsorbBatchView are, so
-  /// the multi-node staging policy can distinguish them: views into an
-  /// engine staging buffer (stable_views = false) are replicated per node
-  /// whenever the topology has more than one; stable source views (mmap,
-  /// in-memory) keep the zero-copy broadcast unless replicate_stable_views
-  /// opts them into the per-node copy. engine::StreamEngine calls this at
-  /// the start of every run; irrelevant on single-node topologies.
-  void SetSourceTraits(bool stable_views, bool replicate_stable_views);
 
   /// Absorbs buffered edges on all shards and waits for them (full
   /// barrier; afterwards estimates reflect everything pushed so far).
@@ -179,16 +138,9 @@ class ParallelTriangleCounter {
     return static_cast<std::uint32_t>(shards_.size());
   }
 
-  /// True when running on the persistent pool (false = spawn-per-batch).
-  bool pipelined() const { return pool_ != nullptr; }
-
-  /// NUMA nodes the substrate is spread across (1 on single-node
-  /// topologies and on the legacy spawn path).
-  std::size_t num_nodes() const { return node_leader_.size(); }
-
   /// True when every pool worker was successfully pinned to its planned
   /// cpu (false when pinning was off, unavailable, or partially failed).
-  bool pinned() const;
+  bool pinned() const { return all_pinned_; }
 
   /// Effective shared batch size w (the resolved 8r/threads default when
   /// options.batch_size was 0).
@@ -205,27 +157,20 @@ class ParallelTriangleCounter {
   /// Restores a SaveState blob. The counter must be configured with the
   /// same (r, seed, num_threads) as the saver; the shard count is
   /// re-validated here. Shard state is written in place, preserving each
-  /// shard's NUMA first-touch placement. On failure the state is
-  /// unspecified.
+  /// shard's first-touch placement. On failure the state is unspecified.
   Status RestoreState(ckpt::ByteSource& source);
 
  private:
-  /// Hands the current fill buffer to all shards and (in pipelined mode)
-  /// returns as soon as the workers own it, swapping fill buffers.
-  void DispatchFillBuffer();
-
-  /// Dispatches an arbitrary view (a fill buffer or a mapped span) to all
-  /// shards. Pipelined mode returns as soon as the workers own it; the
-  /// view must stay valid until the next barrier. `replicate` stages the
-  /// view once per node first (multi-node topologies only), after which
-  /// the view itself is no longer referenced.
-  void DispatchView(std::span<const Edge> view, bool replicate);
+  /// Dispatches a view (the fill buffer or a mapped span) to all shards
+  /// and returns as soon as the workers own it, swapping fill buffers; the
+  /// view must stay valid until the next barrier.
+  void DispatchView(std::span<const Edge> view);
 
   /// Blocks until no batch is in flight on the pool.
   void WaitForInFlight();
 
   /// (Re)publishes the steady-state absorb task to the pool -- the one
-  /// Dispatch() re-runs per batch (pipelined mode only).
+  /// Dispatch() re-runs per batch.
   void PublishAbsorbTask();
 
   /// Ensures cached_triangles_/cached_wedges_ reflect everything pushed so
@@ -248,28 +193,9 @@ class ParallelTriangleCounter {
   /// Double buffer: buffers_[fill_] is being filled by the caller; the
   /// other buffer may be in flight on the pool.
   std::array<std::vector<Edge>, 2> buffers_;
-  /// Topology plan: node index of each slot, and the first slot on each
-  /// node (the "node leader", which owns that node's staging buffers).
-  std::vector<int> slot_node_;
-  std::vector<std::size_t> node_leader_;
-  /// Per-node, double-buffered batch replicas (multi-node topologies
-  /// only; first-touched by each node's leader slot so the pages live
-  /// on-node). The caller copies the next batch into [n][stage_fill_]
-  /// *before* the generation barrier -- the workers may still be reading
-  /// [n][stage_fill_ ^ 1] -- so the staging copy overlaps absorb the way
-  /// the fill buffers do.
-  std::vector<std::array<std::vector<Edge>, 2>> node_staging_;
-  int stage_fill_ = 0;
-  /// Capacity every staging replica is pre-touched to (grown on-node via
-  /// a leader generation when a larger view arrives).
-  std::size_t staging_capacity_ = 0;
-  /// What each worker's absorb generation reads: node_views_[node of
-  /// slot]. Written only while the pool is idle (Dispatch's barrier
-  /// publishes it).
-  std::vector<std::span<const Edge>> node_views_;
-  /// Source traits for the AbsorbBatchView staging policy.
-  bool source_stable_views_ = false;
-  bool replicate_stable_views_ = false;
+  /// What every worker's absorb generation reads. Written only while the
+  /// pool is idle (DispatchView's barrier publishes it).
+  std::span<const Edge> view_;
   /// True when the absorb task is the one currently published to the pool
   /// (EnsureAggregates' reduction generation unpublishes it).
   bool absorb_task_published_ = false;

@@ -11,16 +11,15 @@
 // Adapter notes:
 //   * ParallelEstimator::ProcessEdges dispatches the incoming view as one
 //     batch to every shard with no staging copy
-//     (ParallelTriangleCounter::AbsorbBatchView) -- the zero-copy,
-//     pipelined path its deleted ProcessStream used to own. The view
-//     lifetime the interface demands (valid until the next
-//     ProcessEdges/Flush) is exactly what the shards need.
+//     (ParallelTriangleCounter::AbsorbBatchView). The view lifetime the
+//     interface demands (valid until the next ProcessEdges/Flush) is
+//     exactly what the shards need.
 //   * The serial counters absorb synchronously, so their adapters are
 //     plain forwarding; the bulk counter self-batches at its own w, so
 //     engine batch boundaries never change its estimates.
 //   * The baselines (Buriol, colorful, Jowhari-Ghodsi, first-edge
 //     exhaustive) are strictly per-edge algorithms: batch boundaries
-//     cannot affect their output, which makes them safe under autotuning.
+//     cannot affect their output.
 
 #ifndef TRISTREAM_ENGINE_ESTIMATORS_H_
 #define TRISTREAM_ENGINE_ESTIMATORS_H_
@@ -41,7 +40,6 @@
 #include "core/triangle_counter.h"
 #include "engine/streaming_estimator.h"
 #include "util/status.h"
-#include "util/topology.h"
 #include "util/types.h"
 
 namespace tristream {
@@ -89,7 +87,7 @@ class BulkEstimator : public StreamingEstimator {
   /// the resolved batch size stands in for options_.batch_size == 0. The
   /// simd mode is deliberately absent: every ISA computes the same bits,
   /// so snapshots restore across dispatch choices (same policy as the
-  /// parallel estimator's exclusion of placement knobs).
+  /// parallel estimator's exclusion of pinning).
   std::uint64_t config_fingerprint() const override {
     ckpt::ConfigFingerprint fp;
     fp.Mix(name());
@@ -124,12 +122,6 @@ class ParallelEstimator : public StreamingEstimator {
         counter_(std::make_unique<core::ParallelTriangleCounter>(options)) {}
 
   const char* name() const override { return "tsb"; }
-  /// Forwards the source traits so the counter's multi-node staging
-  /// policy can tell stable zero-copy views from engine staging buffers.
-  void BeginStream(const StreamSourceTraits& traits) override {
-    counter_->SetSourceTraits(traits.stable_views,
-                              traits.replicate_stable_views);
-  }
   /// Dispatches the view as one batch to every shard, zero-copy; may
   /// return while workers are still absorbing (the engine keeps the view
   /// alive until the next call, which is all the shards need).
@@ -169,8 +161,7 @@ class ParallelEstimator : public StreamingEstimator {
   bool checkpointable() const override { return true; }
   /// Resolved shard count and batch size are mixed (not the raw options)
   /// so `--threads 0` cannot silently resolve differently across hosts.
-  /// Placement knobs (pipeline mode, pinning, NUMA staging) are excluded:
-  /// they never change what is computed.
+  /// Pinning is excluded: it never changes what is computed.
   std::uint64_t config_fingerprint() const override {
     ckpt::ConfigFingerprint fp;
     fp.Mix(name());
@@ -440,14 +431,13 @@ struct EstimatorConfig {
   std::uint32_t median_groups = 12;
   /// tsb only: shared batch size w (0 = 8r/threads).
   std::size_t batch_size = 0;
-  bool use_pipeline = true;
   /// tsb/bulk: vector ISA for the lane sweeps (--simd). Bit-identical
   /// estimates under every choice; validated against the host CPU by
   /// MakeEstimator.
   SimdMode simd = SimdMode::kAuto;
-  /// tsb only: topology placement (pinning, NUMA detection, per-node
-  /// batch staging); see core::ParallelCounterOptions::topology.
-  TopologyOptions topology;
+  /// tsb only: pin worker k to its planned cpu; see
+  /// core::ParallelCounterOptions::pin_threads.
+  bool pin_threads = false;
   /// window only.
   std::uint64_t window_size = 1 << 16;
   /// dynamic only: independent hash groups.

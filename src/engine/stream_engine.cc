@@ -8,7 +8,7 @@
 namespace tristream {
 namespace engine {
 
-StreamEngine::StreamEngine(StreamEngineOptions options)
+StreamEngine::StreamEngine(SessionOptions options)
     : options_(std::move(options)) {}
 
 Status StreamEngine::Run(StreamingEstimator& estimator,
@@ -18,8 +18,7 @@ Status StreamEngine::Run(StreamingEstimator& estimator,
   // exactly the batch sequence the old monolithic loop did (blocking in
   // the source when it has nothing buffered -- Session's default,
   // non-cooperative mode).
-  SessionOptions session_options = options_;
-  Session session(estimator, source, std::move(session_options));
+  Session session(estimator, source, options_);
   Scheduler scheduler;
   scheduler.Add(&session);
   scheduler.Run();

@@ -6,16 +6,16 @@
 // checked the source's sticky status, and batching policy was copy-pasted
 // per counter. StreamEngine centralized everything those loops duplicated
 // -- batched double-buffered fetch, sticky-status propagation, per-run
-// metrics, batch-size autotuning, checkpoint cadence.
+// metrics, checkpoint cadence.
 //
 // That drive loop now lives in engine::Session (one run, advanced in
 // schedulable quanta) and engine::Scheduler (which session steps next),
 // so serve mode can multiplex many concurrent runs over a worker pool.
 // StreamEngine survives as the one-session convenience wrapper: Run()
 // builds a Session from its options, drives it to completion through an
-// inline Scheduler, and returns the session's sticky status. Nothing
-// about the observable contract changed -- same option struct (aliased
-// below), same metrics, same call sequence into the source and estimator.
+// inline Scheduler, and returns the session's sticky status: it takes a
+// SessionOptions, reports SessionMetrics, and issues the same call
+// sequence into the source and estimator a Session does.
 //
 // Determinism: with a fixed batch_size (explicit or the estimator's
 // preference) the session issues exactly the same NextBatchView calls as
@@ -33,17 +33,11 @@
 namespace tristream {
 namespace engine {
 
-/// Historical names, kept for the many call sites (CLI, benches, tests)
-/// that configure single-session runs: the structs moved to session.h
-/// when the drive loop became Session.
-using StreamEngineMetrics = SessionMetrics;
-using StreamEngineOptions = SessionOptions;
-
 /// Drives any EdgeStream through any StreamingEstimator (see file
 /// comment): the one-session wrapper over Session + Scheduler.
 class StreamEngine {
  public:
-  explicit StreamEngine(StreamEngineOptions options = {});
+  explicit StreamEngine(SessionOptions options = {});
 
   /// Pulls `source` to exhaustion through `estimator`, then Flush()es it.
   /// Returns the source's sticky status(): OK means the stream ended
@@ -55,11 +49,11 @@ class StreamEngine {
                            stream::EdgeStream& source);
 
   /// Measurements of the most recent Run().
-  const StreamEngineMetrics& metrics() const { return metrics_; }
+  const SessionMetrics& metrics() const { return metrics_; }
 
  private:
-  StreamEngineOptions options_;
-  StreamEngineMetrics metrics_;
+  SessionOptions options_;
+  SessionMetrics metrics_;
 };
 
 }  // namespace engine

@@ -82,12 +82,12 @@ graph::EdgeList MakeDataset(DatasetId id, double scale, std::uint64_t seed) {
   switch (id) {
     case DatasetId::kAmazon: {
       // Co-purchase: power law with low hub degrees and moderate
-      // clustering. Calibrated: mΔ/τ ≈ 725 vs the paper's 762.
+      // clustering. Fitted: mΔ/τ ≈ 725 vs the paper's 762.
       const VertexId n = ScaledN(ref.n, scale, 4000);
       return Shuffled(HolmeKim(n, 3, /*triad_probability=*/0.55, seed), seed);
     }
     case DatasetId::kDblp: {
-      // Collaboration cliques. Calibrated: mΔ/τ ≈ 150 vs the paper's 162.
+      // Collaboration cliques. Fitted: mΔ/τ ≈ 150 vs the paper's 162.
       CollaborationOptions opt;
       opt.num_authors = ScaledN(ref.n, scale, 4000);
       opt.num_papers = static_cast<std::uint64_t>(opt.num_authors) * 11 / 10;

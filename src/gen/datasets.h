@@ -1,4 +1,4 @@
-// Calibrated synthetic stand-ins for the paper's evaluation datasets.
+// Fitted synthetic stand-ins for the paper's evaluation datasets.
 //
 // The paper evaluates on six SNAP/social graphs plus two small baselines
 // (Figure 3, Sec. 4.2). Those exact files are not redistributable inside

@@ -230,10 +230,4 @@ int CurrentCpu() {
 #endif
 }
 
-Topology ResolveTopology(const TopologyOptions& options) {
-  if (options.numa == TopologyOptions::Numa::kOff) return Topology::SingleNode();
-  if (!options.override_topology.empty()) return options.override_topology;
-  return Topology::Detect();
-}
-
 }  // namespace tristream

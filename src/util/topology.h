@@ -1,23 +1,17 @@
-// CPU/NUMA topology detection and worker placement.
+// CPU/NUMA topology detection for worker pinning.
 //
-// The paper's experiments were CPU-bound; on multi-socket hardware the
-// sharded counter's broadcast batches additionally pay the socket
-// interconnect on every batch, and each shard's estimator arrays live on
-// whichever node the constructing thread happened to first-touch them.
-// This layer gives the execution substrate what it needs to fix both:
+// The sharded counter can pin its pool workers (ParallelCounterOptions::
+// pin_threads); this layer tells it where:
 //
 //   * Topology::Detect() reads /sys/devices/system/node (Linux) into a
-//     node -> cpus map, degrading to one node covering all hardware
-//     threads when sysfs is absent, unreadable, or the build is not
-//     Linux -- laptops, CI containers, and non-Linux hosts all behave
-//     exactly like a single-socket machine.
+//     node -> cpus map, degrading to one node covering the cpus the
+//     process may run on when sysfs is absent, unreadable, or the build is
+//     not Linux.
 //   * Topology::PlanSlots(n) assigns pool slot k a (cpu, node) pair,
 //     round-robin across nodes so shards spread evenly over sockets.
 //   * PinCurrentThreadToCpu / ThreadPool's pin support bind slot k to its
-//     planned cpu, so a shard constructed *on its worker* first-touches
-//     its estimator arrays on its own node (node-local state), and the
-//     counter can stage each batch once per node instead of letting every
-//     remote shard pull the caller's copy across the interconnect.
+//     planned cpu. Shards are constructed on their own workers, so a
+//     pinned shard first-touches its estimator arrays on its own node.
 //
 // Placement never changes *what* is computed: shard seeds, batch
 // boundaries, and aggregation are all independent of where threads run,
@@ -44,9 +38,6 @@ struct NumaNode {
 /// An immutable node -> cpus map with a slot-placement planner.
 class Topology {
  public:
-  /// Empty topology (no nodes); ResolveTopology treats it as "detect".
-  Topology() = default;
-
   /// The machine's real topology: /sys/devices/system/node on Linux,
   /// SingleNode() anywhere that fails (missing sysfs, containers hiding
   /// it, non-Linux builds). Never returns an empty topology.
@@ -67,9 +58,7 @@ class Topology {
   /// cpus are dropped; an all-empty input yields SingleNode().
   static Topology FromNodes(std::vector<NumaNode> nodes);
 
-  std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_cpus() const;
-  bool empty() const { return nodes_.empty(); }
   const std::vector<NumaNode>& nodes() const { return nodes_; }
 
   /// Where pool slot k should run.
@@ -85,6 +74,8 @@ class Topology {
   std::vector<SlotPlacement> PlanSlots(std::size_t num_slots) const;
 
  private:
+  Topology() = default;
+
   std::vector<NumaNode> nodes_;
 };
 
@@ -102,26 +93,6 @@ bool PinThreadToCpu(std::thread& thread, int cpu);
 
 /// The cpu the calling thread is running on, or -1 when unknown.
 int CurrentCpu();
-
-/// Placement policy knobs carried by ParallelCounterOptions::topology.
-struct TopologyOptions {
-  /// Pin pool slot k to its planned cpu. Off by default: pinning helps
-  /// when shards own their cores and hurts when the machine is shared.
-  bool pin_threads = false;
-
-  /// kAuto detects the real topology; kOff forces SingleNode(), turning
-  /// every topology feature (spreading, per-node staging) into a no-op.
-  enum class Numa { kAuto, kOff };
-  Numa numa = Numa::kAuto;
-
-  /// When non-empty, used instead of detection (tests and benches fake
-  /// multi-node layouts on single-node machines). Ignored under kOff.
-  Topology override_topology;
-};
-
-/// The topology `options` selects: kOff or empty detection results give
-/// SingleNode(); an override wins over detection.
-Topology ResolveTopology(const TopologyOptions& options);
 
 }  // namespace tristream
 

@@ -30,7 +30,7 @@ namespace {
 using engine::EstimatorConfig;
 using engine::MakeEstimator;
 using engine::StreamEngine;
-using engine::StreamEngineOptions;
+using engine::SessionOptions;
 using engine::StreamingEstimator;
 
 constexpr std::size_t kBatch = 256;
@@ -80,7 +80,7 @@ EstimatorConfig ConfigFor(const Flavor& flavor) {
   config.num_threads = 3;  // tsb: shards > 1
   config.batch_size = kBatch;
   config.window_size = 900;
-  config.topology.pin_threads = flavor.pin_threads;
+  config.pin_threads = flavor.pin_threads;
   return config;
 }
 
@@ -399,14 +399,14 @@ TEST_P(CheckpointFlavorTest, EngineCheckpointingNeverPerturbsEstimates) {
 
   auto plain = Make(flavor);
   stream::MemoryEdgeStream plain_source(*el_);
-  StreamEngineOptions plain_options;
+  SessionOptions plain_options;
   plain_options.batch_size = kBatch;
   StreamEngine plain_engine(plain_options);
   ASSERT_TRUE(plain_engine.Run(*plain, plain_source).ok());
 
   auto snapshotted = Make(flavor);
   stream::MemoryEdgeStream source(*el_);
-  StreamEngineOptions options;
+  SessionOptions options;
   options.batch_size = kBatch;
   options.checkpoint_path = ckpt.path();
   options.checkpoint_every_edges = 700;
@@ -425,7 +425,7 @@ TEST_P(CheckpointFlavorTest, KillAndResumeIsBitIdenticalAtEveryKillPoint) {
   // Uninterrupted reference run.
   auto reference = Make(flavor);
   stream::MemoryEdgeStream ref_source(*el_);
-  StreamEngineOptions ref_options;
+  SessionOptions ref_options;
   ref_options.batch_size = kBatch;
   StreamEngine ref_engine(ref_options);
   ASSERT_TRUE(ref_engine.Run(*reference, ref_source).ok());
@@ -444,7 +444,7 @@ TEST_P(CheckpointFlavorTest, KillAndResumeIsBitIdenticalAtEveryKillPoint) {
         el_->edges().begin() + static_cast<std::ptrdiff_t>(kill_edges)));
     auto victim = Make(flavor);
     stream::MemoryEdgeStream prefix_source(prefix);
-    StreamEngineOptions victim_options;
+    SessionOptions victim_options;
     victim_options.batch_size = kBatch;
     victim_options.checkpoint_path = ckpt.path();
     victim_options.checkpoint_every_edges = 300;
@@ -466,7 +466,7 @@ TEST_P(CheckpointFlavorTest, KillAndResumeIsBitIdenticalAtEveryKillPoint) {
     ASSERT_TRUE(SkipToCheckpoint(full_source, *info).ok());
     EXPECT_EQ(full_source.edges_delivered(), info->edges_processed);
 
-    StreamEngineOptions resume_options;
+    SessionOptions resume_options;
     resume_options.batch_size = static_cast<std::size_t>(info->batch_size);
     StreamEngine resume_engine(resume_options);
     ASSERT_TRUE(resume_engine.Run(*resumed, full_source).ok());
@@ -511,7 +511,7 @@ TEST(CheckpointResumeTest, DedupSourceReplaysFilterStateOnResume) {
 
   auto reference = MakeBulk();
   auto ref_source = MakeDedup(raw);
-  StreamEngineOptions options;
+  SessionOptions options;
   options.batch_size = kBatch;
   StreamEngine ref_engine(options);
   ASSERT_TRUE(ref_engine.Run(*reference, ref_source).ok());
@@ -525,7 +525,7 @@ TEST(CheckpointResumeTest, DedupSourceReplaysFilterStateOnResume) {
   ScopedCheckpointPath ckpt("dedup_resume");
   auto victim = MakeBulk();
   auto victim_source = MakeDedup(prefix);
-  StreamEngineOptions victim_options;
+  SessionOptions victim_options;
   victim_options.batch_size = kBatch;
   victim_options.checkpoint_path = ckpt.path();
   victim_options.checkpoint_every_edges = 200;  // post-filter edges
@@ -539,7 +539,7 @@ TEST(CheckpointResumeTest, DedupSourceReplaysFilterStateOnResume) {
   auto resume_source = MakeDedup(raw);
   ASSERT_TRUE(SkipToCheckpoint(resume_source, *info).ok());
   EXPECT_EQ(resume_source.edges_delivered(), info->edges_processed);
-  StreamEngineOptions resume_options;
+  SessionOptions resume_options;
   resume_options.batch_size = static_cast<std::size_t>(info->batch_size);
   StreamEngine resume_engine(resume_options);
   ASSERT_TRUE(resume_engine.Run(*resumed, resume_source).ok());
@@ -771,7 +771,7 @@ TEST(CheckpointContractTest, EngineRejectsCheckpointMisconfiguration) {
     auto est = MakeEstimator("buriol", config);
     ASSERT_TRUE(est.ok());
     stream::MemoryEdgeStream source(el);
-    StreamEngineOptions options;
+    SessionOptions options;
     options.checkpoint_path = ckpt.path();
     options.checkpoint_every_edges = 100;
     StreamEngine eng(options);
@@ -782,19 +782,8 @@ TEST(CheckpointContractTest, EngineRejectsCheckpointMisconfiguration) {
     auto est = MakeEstimator("bulk", config);
     ASSERT_TRUE(est.ok());
     stream::MemoryEdgeStream source(el);
-    StreamEngineOptions options;
+    SessionOptions options;
     options.checkpoint_path = ckpt.path();
-    StreamEngine eng(options);
-    EXPECT_EQ(eng.Run(**est, source).code(), StatusCode::kInvalidArgument);
-  }
-  {  // Autotuned batch boundaries cannot be replayed: InvalidArgument.
-    auto est = MakeEstimator("bulk", config);
-    ASSERT_TRUE(est.ok());
-    stream::MemoryEdgeStream source(el);
-    StreamEngineOptions options;
-    options.checkpoint_path = ckpt.path();
-    options.checkpoint_every_edges = 100;
-    options.autotune = true;
     StreamEngine eng(options);
     EXPECT_EQ(eng.Run(**est, source).code(), StatusCode::kInvalidArgument);
   }

@@ -1,10 +1,14 @@
-// Tests for the estimator-sharded parallel counter: exact equivalence of
-// semantics with the serial engine (same invariants, same accuracy),
-// determinism per (seed, threads), and thread-count robustness.
+// Tests for the estimator-sharded parallel counter: bit-identity with the
+// serial shard composition, statistical agreement with the serial engine
+// (same invariants, same accuracy), determinism per (seed, threads), and
+// thread-count robustness.
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/parallel_counter.h"
@@ -15,6 +19,8 @@
 #include "gtest/gtest.h"
 #include "stream/edge_stream.h"
 #include "tests/core/core_test_util.h"
+#include "util/rng.h"
+#include "util/stats.h"
 
 namespace tristream {
 namespace core {
@@ -111,31 +117,131 @@ TEST(ParallelCounterTest, TransitivityMatchesSerial) {
   EXPECT_NEAR(counter.EstimateTransitivity(), kappa, 0.15 * kappa);
 }
 
-TEST(ParallelCounterTest, PipelinedBitIdenticalToSpawnPerBatch) {
-  // The pooled/pipelined substrate must be a pure scheduling change: for a
-  // fixed (seed, num_threads) the estimates are bit-identical to the
-  // legacy spawn-a-thread-per-batch path, across thread counts (including
-  // more threads than this machine has cores).
+/// The serial composition the sharded counter must reproduce bit for bit:
+/// T independent TriangleCounters seeded the way ParallelTriangleCounter
+/// seeds its shards, each fed the same batches (ProcessEdges then Flush
+/// per batch), reduced with ComputePartials and combined in shard order.
+class SerialShardReference {
+ public:
+  explicit SerialShardReference(const ParallelCounterOptions& options)
+      : options_(options) {
+    const std::uint32_t threads = options.num_threads;
+    Rng seeder(options.seed ^ (0x517a9dULL * threads));
+    std::uint64_t first = 0;
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      TriangleCounterOptions shard;
+      shard.num_estimators = options.num_estimators / threads +
+                             (t < options.num_estimators % threads ? 1 : 0);
+      shard.seed = seeder.Next();
+      shard.aggregation = options.aggregation;
+      shard.median_groups = options.median_groups;
+      shard.batch_size = std::numeric_limits<std::size_t>::max();
+      shards_.push_back(std::make_unique<TriangleCounter>(shard));
+      firsts_.push_back(first);
+      first += shard.num_estimators;
+    }
+  }
+
+  /// Feeds `edges` in batches of options.batch_size; the last batch may be
+  /// partial, exactly like a ParallelTriangleCounter Flush mid-stream.
+  void Feed(std::span<const Edge> edges) {
+    for (std::size_t off = 0; off < edges.size();
+         off += options_.batch_size) {
+      const auto batch = edges.subspan(
+          off, std::min(options_.batch_size, edges.size() - off));
+      for (auto& shard : shards_) {
+        shard->ProcessEdges(batch);
+        shard->Flush();
+      }
+    }
+  }
+
+  /// {triangles, wedges} under the configured aggregation rule.
+  std::pair<double, double> Estimates() {
+    const std::uint64_t r = options_.num_estimators;
+    const std::uint32_t groups =
+        options_.aggregation == Aggregation::kMedianOfMeans
+            ? options_.median_groups
+            : 0;
+    std::vector<TriangleCounter::EstimatorPartials> partials;
+    for (std::size_t t = 0; t < shards_.size(); ++t) {
+      partials.push_back(shards_[t]->ComputePartials(firsts_[t], r, groups));
+    }
+    if (groups <= 1 || r <= groups) {
+      double triangles = 0.0;
+      double wedges = 0.0;
+      for (const auto& p : partials) {
+        triangles += p.triangle_sum;
+        wedges += p.wedge_sum;
+      }
+      return {triangles / static_cast<double>(r),
+              wedges / static_cast<double>(r)};
+    }
+    std::vector<double> triangle_sums(groups, 0.0);
+    std::vector<double> wedge_sums(groups, 0.0);
+    std::vector<std::uint64_t> counts(groups, 0);
+    for (const auto& p : partials) {
+      for (std::size_t j = 0; j < p.group_counts.size(); ++j) {
+        triangle_sums[p.first_group + j] += p.triangle_group_sums[j];
+        wedge_sums[p.first_group + j] += p.wedge_group_sums[j];
+        counts[p.first_group + j] += p.group_counts[j];
+      }
+    }
+    std::vector<double> triangle_means;
+    std::vector<double> wedge_means;
+    for (std::size_t g = 0; g < groups; ++g) {
+      if (counts[g] == 0) continue;
+      triangle_means.push_back(triangle_sums[g] /
+                               static_cast<double>(counts[g]));
+      wedge_means.push_back(wedge_sums[g] / static_cast<double>(counts[g]));
+    }
+    return {Median(std::move(triangle_means)),
+            Median(std::move(wedge_means))};
+  }
+
+ private:
+  ParallelCounterOptions options_;
+  std::vector<std::unique_ptr<TriangleCounter>> shards_;
+  std::vector<std::uint64_t> firsts_;
+};
+
+TEST(ParallelCounterTest, BitIdenticalToSerialShardComposition) {
+  // The pooled, double-buffered substrate is a pure scheduling change: at
+  // a fixed (seed, threads, batch) its estimates equal the serial shard
+  // composition to the last bit -- including a mid-stream read (which
+  // flushes a partial batch) and a partial tail -- under both aggregation
+  // rules, and with more threads than this machine may have cores.
   const auto stream =
       stream::ShuffleStreamOrder(gen::GnmRandom(70, 600, 11), 31);
-  for (std::uint32_t threads : {1u, 2u, 8u}) {
-    ParallelCounterOptions pipelined = POptions(12000, threads, 424242);
-    pipelined.use_pipeline = true;
-    pipelined.batch_size = 500;  // several batches plus a partial tail
-    ParallelCounterOptions spawned = pipelined;
-    spawned.use_pipeline = false;
-    ParallelTriangleCounter a(pipelined);
-    ParallelTriangleCounter b(spawned);
-    EXPECT_TRUE(a.pipelined());
-    EXPECT_FALSE(b.pipelined());
-    a.ProcessEdges(stream.edges());
-    b.ProcessEdges(stream.edges());
-    EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles())
-        << threads << " threads";
-    EXPECT_EQ(a.EstimateWedges(), b.EstimateWedges()) << threads
-                                                      << " threads";
-    EXPECT_EQ(a.EstimateTransitivity(), b.EstimateTransitivity());
-    EXPECT_EQ(a.edges_processed(), b.edges_processed());
+  const std::span<const Edge> edges(stream.edges());
+  const std::size_t half = 251;  // not a batch multiple
+  for (const auto aggregation :
+       {Aggregation::kMean, Aggregation::kMedianOfMeans}) {
+    for (std::uint32_t threads : {1u, 2u, 8u}) {
+      ParallelCounterOptions opt = POptions(12000, threads, 424242);
+      opt.aggregation = aggregation;
+      opt.batch_size = 97;
+      ParallelTriangleCounter parallel(opt);
+      SerialShardReference serial(opt);
+      ASSERT_EQ(parallel.num_shards(), threads);
+
+      parallel.ProcessEdges(edges.subspan(0, half));
+      serial.Feed(edges.subspan(0, half));
+      auto expected = serial.Estimates();
+      EXPECT_EQ(parallel.EstimateTriangles(), expected.first)
+          << threads << " threads, mid-stream";
+      EXPECT_EQ(parallel.EstimateWedges(), expected.second)
+          << threads << " threads, mid-stream";
+
+      parallel.ProcessEdges(edges.subspan(half));
+      serial.Feed(edges.subspan(half));
+      expected = serial.Estimates();
+      EXPECT_EQ(parallel.EstimateTriangles(), expected.first)
+          << threads << " threads";
+      EXPECT_EQ(parallel.EstimateWedges(), expected.second)
+          << threads << " threads";
+      EXPECT_EQ(parallel.edges_processed(), edges.size());
+    }
   }
 }
 
@@ -158,171 +264,26 @@ TEST(ParallelCounterTest, PipelinedDeterministicAcrossRunsAndPushShapes) {
   }
 }
 
-TEST(ParallelCounterTest, FlushIsAFullBarrierMidStream) {
-  // Estimates read mid-stream (forcing a flush of a partial batch) must
-  // match between substrates too, and continuing afterwards must as well.
-  const auto stream =
-      stream::ShuffleStreamOrder(gen::GnmRandom(40, 300, 3), 17);
-  ParallelCounterOptions pipelined = POptions(6000, 2, 7);
-  pipelined.batch_size = 128;
-  ParallelCounterOptions spawned = pipelined;
-  spawned.use_pipeline = false;
-  ParallelTriangleCounter a(pipelined);
-  ParallelTriangleCounter b(spawned);
-  const std::span<const Edge> edges(stream.edges());
-  const std::size_t half = edges.size() / 2;  // not a batch multiple
-  a.ProcessEdges(edges.subspan(0, half));
-  b.ProcessEdges(edges.subspan(0, half));
-  EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles());
-  a.ProcessEdges(edges.subspan(half));
-  b.ProcessEdges(edges.subspan(half));
-  EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles());
-  EXPECT_EQ(a.EstimateWedges(), b.EstimateWedges());
-}
-
-/// A fake two-node topology on whatever cpus this machine has, so the
-/// multi-node staging and pinning paths run (and run under TSan) even on
-/// single-node CI hosts.
-Topology FakeTwoNodeTopology() {
-  std::vector<NumaNode> nodes(2);
-  nodes[0].id = 0;
-  nodes[0].cpus = {0};
-  nodes[1].id = 1;
-  nodes[1].cpus = {0};
-  return Topology::FromNodes(std::move(nodes));
-}
-
 TEST(ParallelCounterTest, PinnedBitIdenticalToUnpinned) {
   // Pinning is placement only: for a fixed (seed, num_threads) the
-  // estimates must match the unpinned pipeline and the legacy spawn path
-  // to the last bit, on any topology.
+  // estimates must match the unpinned counter to the last bit.
   const auto stream =
       stream::ShuffleStreamOrder(gen::GnmRandom(70, 600, 11), 31);
   for (std::uint32_t threads : {1u, 2u, 8u}) {
     ParallelCounterOptions unpinned = POptions(12000, threads, 424242);
     unpinned.batch_size = 500;
     ParallelCounterOptions pinned = unpinned;
-    pinned.topology.pin_threads = true;
-    ParallelCounterOptions spawned = unpinned;
-    spawned.use_pipeline = false;
+    pinned.pin_threads = true;
     ParallelTriangleCounter a(unpinned);
     ParallelTriangleCounter b(pinned);
-    ParallelTriangleCounter c(spawned);
+    EXPECT_FALSE(a.pinned());
     a.ProcessEdges(stream.edges());
     b.ProcessEdges(stream.edges());
-    c.ProcessEdges(stream.edges());
     EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles())
         << threads << " threads";
     EXPECT_EQ(a.EstimateWedges(), b.EstimateWedges()) << threads
                                                       << " threads";
-    EXPECT_EQ(b.EstimateTriangles(), c.EstimateTriangles());
-    EXPECT_EQ(b.EstimateWedges(), c.EstimateWedges());
   }
-}
-
-TEST(ParallelCounterTest, MultiNodeStagingBitIdentical) {
-  // With >1 node the dispatched batches are staged once per node and each
-  // worker absorbs its node's replica; the estimates must still be
-  // bit-identical to the single-node broadcast (staging copies content,
-  // never changes it). The fake topology makes this path run on a
-  // single-node machine -- and under TSan in CI.
-  const auto stream =
-      stream::ShuffleStreamOrder(gen::GnmRandom(60, 500, 5), 55);
-  for (std::uint32_t threads : {2u, 4u}) {
-    ParallelCounterOptions plain = POptions(8000, threads, 777);
-    plain.batch_size = 256;
-    ParallelCounterOptions staged = plain;
-    staged.topology.override_topology = FakeTwoNodeTopology();
-    staged.topology.pin_threads = true;
-    ParallelTriangleCounter a(plain);
-    ParallelTriangleCounter b(staged);
-    EXPECT_EQ(a.num_nodes(), 1u);
-    EXPECT_EQ(b.num_nodes(), 2u);
-    a.ProcessEdges(stream.edges());
-    b.ProcessEdges(stream.edges());
-    EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles())
-        << threads << " threads";
-    EXPECT_EQ(a.EstimateWedges(), b.EstimateWedges());
-    EXPECT_EQ(a.EstimateTransitivity(), b.EstimateTransitivity());
-    EXPECT_EQ(a.edges_processed(), b.edges_processed());
-  }
-}
-
-TEST(ParallelCounterTest, StableViewReplicationOptInBitIdentical) {
-  // The AbsorbBatchView staging policy: stable views broadcast by
-  // default, replicate per node on opt-in; either way the estimates match
-  // the plain ProcessEdges path for equal batch boundaries.
-  const auto stream =
-      stream::ShuffleStreamOrder(gen::GnmRandom(50, 400, 21), 13);
-  const std::span<const Edge> edges(stream.edges());
-  ParallelCounterOptions opt = POptions(6000, 3, 99);
-  opt.batch_size = 200;
-  ParallelCounterOptions staged = opt;
-  staged.topology.override_topology = FakeTwoNodeTopology();
-  ParallelTriangleCounter plain(opt);
-  ParallelTriangleCounter broadcast(staged);
-  ParallelTriangleCounter replicated(staged);
-  broadcast.SetSourceTraits(/*stable_views=*/true,
-                            /*replicate_stable_views=*/false);
-  replicated.SetSourceTraits(/*stable_views=*/true,
-                             /*replicate_stable_views=*/true);
-  plain.ProcessEdges(edges);
-  for (std::size_t off = 0; off < edges.size(); off += opt.batch_size) {
-    const auto view =
-        edges.subspan(off, std::min(opt.batch_size, edges.size() - off));
-    broadcast.AbsorbBatchView(view);
-    replicated.AbsorbBatchView(view);
-  }
-  broadcast.Flush();
-  replicated.Flush();
-  EXPECT_EQ(plain.EstimateTriangles(), broadcast.EstimateTriangles());
-  EXPECT_EQ(plain.EstimateTriangles(), replicated.EstimateTriangles());
-  EXPECT_EQ(plain.EstimateWedges(), replicated.EstimateWedges());
-}
-
-TEST(ParallelCounterTest, OversizedViewGrowsStagingBitIdentical) {
-  // A view larger than the pre-touched staging capacity (an engine batch
-  // size above the counter's own w) triggers the on-node growth
-  // generation; content and batch boundaries must be preserved exactly.
-  const auto stream =
-      stream::ShuffleStreamOrder(gen::GnmRandom(60, 500, 7), 57);
-  const std::span<const Edge> edges(stream.edges());
-  ParallelCounterOptions opt = POptions(6000, 2, 321);
-  opt.batch_size = 64;  // staging pre-touched to 64 edges
-  ParallelCounterOptions staged = opt;
-  staged.topology.override_topology = FakeTwoNodeTopology();
-  ParallelTriangleCounter broadcast(opt);
-  ParallelTriangleCounter replicated(staged);
-  // One whole-stream view (~500 edges) = one batch on every shard, far
-  // above the staging capacity in the replicated counter.
-  broadcast.AbsorbBatchView(edges);
-  replicated.AbsorbBatchView(edges);
-  broadcast.Flush();
-  replicated.Flush();
-  EXPECT_EQ(broadcast.EstimateTriangles(), replicated.EstimateTriangles());
-  EXPECT_EQ(broadcast.EstimateWedges(), replicated.EstimateWedges());
-  // And the pool keeps working afterwards (the growth generation swapped
-  // the published task out and back).
-  broadcast.ProcessEdges(edges);
-  replicated.ProcessEdges(edges);
-  EXPECT_EQ(broadcast.EstimateTriangles(), replicated.EstimateTriangles());
-}
-
-TEST(ParallelCounterTest, NumaOffMatchesAuto) {
-  // numa=kOff forces the single-node substrate; results never depend on
-  // the detected topology either way.
-  const auto stream = CanonicalStream();
-  ParallelCounterOptions auto_opt = POptions(4000, 3, 77);
-  ParallelCounterOptions off_opt = auto_opt;
-  off_opt.topology.numa = TopologyOptions::Numa::kOff;
-  off_opt.topology.pin_threads = true;
-  ParallelTriangleCounter a(auto_opt);
-  ParallelTriangleCounter b(off_opt);
-  EXPECT_EQ(b.num_nodes(), 1u);
-  a.ProcessEdges(stream.edges());
-  b.ProcessEdges(stream.edges());
-  EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles());
-  EXPECT_EQ(a.EstimateWedges(), b.EstimateWedges());
 }
 
 TEST(ParallelCounterTest, ShardDistributionMatchesSerialEngine) {

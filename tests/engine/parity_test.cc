@@ -68,7 +68,7 @@ Estimates RunEngine(const std::string& algo, const EstimatorConfig& config,
                     stream::EdgeStream& source) {
   auto est = MakeEstimator(algo, config);
   EXPECT_TRUE(est.ok()) << est.status();
-  StreamEngineOptions options;
+  SessionOptions options;
   options.batch_size = kBatch;
   StreamEngine eng(options);
   EXPECT_TRUE(eng.Run(**est, source).ok());
@@ -167,37 +167,14 @@ TEST(StreamEngineTest, MetricsCountEdgesAndBatches) {
   const auto el = gen::GnmRandom(100, 1000, 5);
   ColorfulStreamEstimator est({.num_colors = 4, .seed = 9});
   stream::MemoryEdgeStream source(el);
-  StreamEngineOptions options;
+  SessionOptions options;
   options.batch_size = 300;
   StreamEngine eng(options);
   ASSERT_TRUE(eng.Run(est, source).ok());
   EXPECT_EQ(eng.metrics().edges, el.size());
   EXPECT_EQ(eng.metrics().batches, (el.size() + 299) / 300);
-  EXPECT_FALSE(eng.metrics().autotuned);
+  EXPECT_EQ(eng.metrics().batch_size, 300u);
   EXPECT_GT(eng.metrics().total_seconds, 0.0);
-}
-
-TEST(StreamEngineTest, AutotuneKeepsPerEdgeAlgorithmsBitIdentical) {
-  // Autotuning re-batches the stream mid-run; for strictly per-edge
-  // algorithms that must not change a single bit of the estimate.
-  const auto el = gen::GnmRandom(150, 4000, 6);
-  baseline::ColorfulTriangleCounter::Options copt{.num_colors = 4,
-                                                  .seed = 11};
-  ColorfulStreamEstimator fixed(copt);
-  ColorfulStreamEstimator tuned(copt);
-  stream::MemoryEdgeStream a(el);
-  stream::MemoryEdgeStream b(el);
-  StreamEngine fixed_engine;
-  ASSERT_TRUE(fixed_engine.Run(fixed, a).ok());
-  StreamEngineOptions options;
-  options.autotune = true;
-  options.autotune_probe_edges = 512;  // several candidates fit the stream
-  StreamEngine tuned_engine(options);
-  ASSERT_TRUE(tuned_engine.Run(tuned, b).ok());
-  EXPECT_TRUE(tuned_engine.metrics().autotuned);
-  EXPECT_GT(tuned_engine.metrics().batch_size, 0u);
-  EXPECT_EQ(tuned.EstimateTriangles(), fixed.EstimateTriangles());
-  EXPECT_EQ(tuned.edges_processed(), el.size());
 }
 
 TEST(StreamEngineTest, ReportHookFiresOnEdgeMultiples) {
@@ -205,12 +182,12 @@ TEST(StreamEngineTest, ReportHookFiresOnEdgeMultiples) {
   SlidingWindowEstimator est({.window_size = 500, .num_estimators = 64,
                               .seed = 3});
   stream::MemoryEdgeStream source(el);
-  StreamEngineOptions options;
+  SessionOptions options;
   options.batch_size = 128;
   options.report_every_edges = 500;
   std::vector<std::uint64_t> reported_at;
   options.on_report = [&reported_at](StreamingEstimator& e,
-                                     const StreamEngineMetrics& m) {
+                                     const SessionMetrics& m) {
     reported_at.push_back(e.edges_processed());
     EXPECT_EQ(m.edges, e.edges_processed());
   };

@@ -119,7 +119,7 @@ double IsolatedTriangles(const graph::EdgeList& el) {
   auto est = MakeEstimator("bulk", TestConfig());
   EXPECT_TRUE(est.ok());
   stream::MemoryEdgeStream source(el);
-  StreamEngineOptions options;
+  SessionOptions options;
   options.batch_size = kBatch;
   StreamEngine eng(options);
   EXPECT_TRUE(eng.Run(**est, source).ok());

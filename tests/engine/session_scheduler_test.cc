@@ -58,7 +58,7 @@ Estimates RunIsolated(std::uint64_t seed, const graph::EdgeList& el) {
   auto est = MakeEstimator("bulk", BulkConfig(seed));
   EXPECT_TRUE(est.ok()) << est.status();
   stream::MemoryEdgeStream source(el);
-  StreamEngineOptions options;
+  SessionOptions options;
   options.batch_size = kBatch;
   StreamEngine eng(options);
   EXPECT_TRUE(eng.Run(**est, source).ok());

@@ -54,7 +54,7 @@ double IsolatedTriangles(const graph::EdgeList& el) {
   auto est = engine::MakeEstimator("bulk", TestConfig());
   EXPECT_TRUE(est.ok());
   stream::MemoryEdgeStream source(el);
-  engine::StreamEngineOptions options;
+  engine::SessionOptions options;
   options.batch_size = kBatch;
   engine::StreamEngine eng(options);
   EXPECT_TRUE(eng.Run(**est, source).ok());

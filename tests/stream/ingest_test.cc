@@ -451,35 +451,6 @@ TEST(IngestParityTest, MedianOfMeansAlsoBitIdenticalAcrossPaths) {
   std::remove(path.c_str());
 }
 
-TEST(IngestParityTest, PipelineAndSpawnAgreeUnderBothAggregations) {
-  // The shard-local aggregation combine must be substrate-independent:
-  // pipelined and spawn-per-batch runs fold the same partials the same
-  // way, for the mean and the median-of-means rule alike.
-  const auto el = gen::GnmRandom(120, 1500, 24);
-  for (const auto aggregation :
-       {core::Aggregation::kMean, core::Aggregation::kMedianOfMeans}) {
-    core::ParallelCounterOptions popt;
-    popt.num_estimators = 5000;
-    popt.num_threads = 1;
-    popt.seed = 99;
-    popt.aggregation = aggregation;
-    core::ParallelTriangleCounter parallel(popt);
-    parallel.ProcessEdges(el.edges());
-
-    // Reconstruct the single shard's exact configuration: the parallel
-    // wrapper derives it deterministically from (seed, threads).
-    core::ParallelCounterOptions spawn = popt;
-    spawn.use_pipeline = false;
-    core::ParallelTriangleCounter legacy(spawn);
-    legacy.ProcessEdges(el.edges());
-
-    EXPECT_EQ(parallel.EstimateTriangles(), legacy.EstimateTriangles());
-    EXPECT_EQ(parallel.EstimateWedges(), legacy.EstimateWedges());
-    EXPECT_EQ(parallel.EstimateTransitivity(),
-              legacy.EstimateTransitivity());
-  }
-}
-
 // ---------------------------------------------- failure propagation
 
 TEST(IngestFailureTest, FileTruncatedAfterHeaderFailsEngineRun) {

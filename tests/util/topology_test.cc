@@ -38,7 +38,7 @@ TEST(ParseCpuListTest, HandlesRangesSinglesAndJunk) {
 
 TEST(TopologyTest, SingleNodeCoversRequestedCpus) {
   const Topology topo = Topology::SingleNode(4);
-  ASSERT_EQ(topo.num_nodes(), 1u);
+  ASSERT_EQ(topo.nodes().size(), 1u);
   EXPECT_EQ(topo.num_cpus(), 4u);
   EXPECT_EQ(topo.nodes()[0].id, 0);
   EXPECT_EQ(topo.nodes()[0].cpus, (std::vector<int>{0, 1, 2, 3}));
@@ -46,7 +46,7 @@ TEST(TopologyTest, SingleNodeCoversRequestedCpus) {
 
 TEST(TopologyTest, SingleNodeDefaultsToHardwareConcurrency) {
   const Topology topo = Topology::SingleNode();
-  ASSERT_EQ(topo.num_nodes(), 1u);
+  ASSERT_EQ(topo.nodes().size(), 1u);
   EXPECT_GE(topo.num_cpus(), 1u);
 }
 
@@ -58,7 +58,7 @@ TEST(TopologyTest, FromNodesDropsMemoryOnlyNodesAndSortsById) {
   nodes[2].id = 0;
   nodes[2].cpus = {0, 1};
   const Topology topo = Topology::FromNodes(std::move(nodes));
-  ASSERT_EQ(topo.num_nodes(), 2u);
+  ASSERT_EQ(topo.nodes().size(), 2u);
   EXPECT_EQ(topo.nodes()[0].id, 0);
   EXPECT_EQ(topo.nodes()[1].id, 2);
 }
@@ -68,7 +68,7 @@ TEST(TopologyTest, FromNodesAllEmptyFallsBackToSingleNode) {
   nodes[0].id = 0;
   nodes[1].id = 1;
   const Topology topo = Topology::FromNodes(std::move(nodes));
-  EXPECT_EQ(topo.num_nodes(), 1u);
+  EXPECT_EQ(topo.nodes().size(), 1u);
   EXPECT_GE(topo.num_cpus(), 1u);
 }
 
@@ -111,7 +111,7 @@ TEST_F(FakeSysfsTest, DetectsTwoNodes) {
   AddNode("power", "");     // non-node entry: ignored
   AddNode("nodeX", "9");    // malformed suffix: ignored
   const Topology topo = Topology::DetectFromSysfs(root_);
-  ASSERT_EQ(topo.num_nodes(), 2u);
+  ASSERT_EQ(topo.nodes().size(), 2u);
   EXPECT_EQ(topo.nodes()[0].id, 0);
   EXPECT_EQ(topo.nodes()[0].cpus, (std::vector<int>{0, 1}));
   EXPECT_EQ(topo.nodes()[1].id, 1);
@@ -122,28 +122,28 @@ TEST_F(FakeSysfsTest, MemoryOnlyNodeIsDropped) {
   AddNode("node0", "0-3\n");
   AddNode("node1", "", /*with_cpulist=*/false);  // CXL-style memory node
   const Topology topo = Topology::DetectFromSysfs(root_);
-  ASSERT_EQ(topo.num_nodes(), 1u);
+  ASSERT_EQ(topo.nodes().size(), 1u);
   EXPECT_EQ(topo.nodes()[0].cpus, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST_F(FakeSysfsTest, EmptyTreeFallsBackToSingleNode) {
   const Topology topo = Topology::DetectFromSysfs(root_);
-  EXPECT_EQ(topo.num_nodes(), 1u);
+  EXPECT_EQ(topo.nodes().size(), 1u);
   EXPECT_GE(topo.num_cpus(), 1u);
 }
 
 TEST(TopologyTest, MissingSysfsDirFallsBackToSingleNode) {
   const Topology topo =
       Topology::DetectFromSysfs("/nonexistent/tristream/sysfs");
-  EXPECT_EQ(topo.num_nodes(), 1u);
+  EXPECT_EQ(topo.nodes().size(), 1u);
   EXPECT_GE(topo.num_cpus(), 1u);
 }
 
 TEST(TopologyTest, DetectNeverReturnsEmpty) {
   const Topology topo = Topology::Detect();
-  EXPECT_GE(topo.num_nodes(), 1u);
+  EXPECT_GE(topo.nodes().size(), 1u);
   EXPECT_GE(topo.num_cpus(), 1u);
-  for (std::size_t i = 1; i < topo.num_nodes(); ++i) {
+  for (std::size_t i = 1; i < topo.nodes().size(); ++i) {
     EXPECT_LT(topo.nodes()[i - 1].id, topo.nodes()[i].id);
   }
 }
@@ -185,21 +185,6 @@ TEST(TopologyTest, PlanSlotsIsDeterministic) {
     EXPECT_EQ(a[i].cpu, b[i].cpu);
     EXPECT_EQ(a[i].node, b[i].node);
   }
-}
-
-TEST(TopologyTest, ResolveHonorsOffAndOverride) {
-  std::vector<NumaNode> nodes(2);
-  nodes[0].id = 0;
-  nodes[0].cpus = {0};
-  nodes[1].id = 1;
-  nodes[1].cpus = {0};
-  TopologyOptions options;
-  options.override_topology = Topology::FromNodes(std::move(nodes));
-  EXPECT_EQ(ResolveTopology(options).num_nodes(), 2u);
-  options.numa = TopologyOptions::Numa::kOff;
-  EXPECT_EQ(ResolveTopology(options).num_nodes(), 1u);
-  // Default: detection, never empty.
-  EXPECT_GE(ResolveTopology(TopologyOptions{}).num_nodes(), 1u);
 }
 
 TEST(TopologyTest, PinCurrentThreadToAllowedCpuSucceeds) {

@@ -25,8 +25,11 @@
 // the paper's algorithm (tsb) or one of the baseline algorithms it is
 // evaluated against -- all driven by the same engine::StreamEngine, so
 // every algorithm sees identical ingest, batching, and failure
-// propagation. `--autotune` replaces the static batch-size default with
-// the engine's calibration sweep.
+// propagation.
+//
+// Every command declares the flags it reads; any other flag (a typo, or
+// one this tool no longer has) exits 2 naming it, instead of running with
+// the flag silently ignored.
 //
 // `serve` is the multi-tenant network mode (engine/serve.h): one process
 // accepts any number of TRIS connections, each mapped to its own
@@ -44,6 +47,7 @@
 // failure (disconnect mid-frame, bad frame) exits nonzero -- a live
 // estimate over a silently truncated feed is worse than no estimate.
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -53,6 +57,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
@@ -98,8 +103,7 @@ int Usage() {
       "           without running any estimator; works on text lists too.\n"
       "  stats    --input FILE\n"
       "  count    --input FILE [--algo A] [--estimators N] [--seed N]\n"
-      "           [--batch W] [--autotune] [--threads T] [--pipeline 0|1]\n"
-      "           [--pin 0|1] [--numa auto|off] [--numa-replicate]\n"
+      "           [--batch W] [--threads T] [--pin 0|1]\n"
       "           [--simd auto|off|avx2|avx512]\n"
       "           [--mmap 0|1] [--median-of-means]\n"
       "           [--checkpoint PATH [--checkpoint-every N]] [--resume PATH]\n"
@@ -117,10 +121,8 @@ int Usage() {
       "           forward, and continues to estimates bit-identical to an\n"
       "           uninterrupted run with the same flags. tsb, bulk and\n"
       "           dynamic only.\n"
-      "           --pin 1 binds worker k to its planned core (round-robin\n"
-      "           across NUMA nodes); --numa off forces the single-node\n"
-      "           fallback; --numa-replicate stages a per-node copy of\n"
-      "           stable (mmap) batches too. Placement never changes\n"
+      "           --pin 1 binds tsb worker k to its planned core\n"
+      "           (round-robin across NUMA nodes). Pinning never changes\n"
       "           estimates, only where the work runs.\n"
       "           --simd picks the vector ISA for the tsb/bulk estimator\n"
       "           sweep (auto = widest the CPU supports; every ISA is\n"
@@ -191,15 +193,21 @@ std::string FlagSpelling(const std::string& name) {
 }
 
 /// Flags that take no value.
-bool IsBooleanFlag(const std::string& key) {
-  return key == "median-of-means" || key == "autotune" ||
-         key == "numa-replicate";
-}
+bool IsBooleanFlag(const std::string& key) { return key == "median-of-means"; }
 
-/// Minimal flag map: --name value pairs (plus -k and boolean flags).
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
+using Flags = std::map<std::string, std::string>;
+
+/// One subcommand: its handler and every flag it reads.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<std::string_view> flags;
+};
+
+/// Minimal flag map: --name value pairs (plus -k and boolean flags). A
+/// flag `command` does not read exits 2 naming it.
+Flags ParseFlags(int argc, char** argv, int first, const Command& command) {
+  Flags flags;
   for (int i = first; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) == 0) {
@@ -208,6 +216,12 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv,
       key = "k";
     } else {
       std::fprintf(stderr, "unexpected argument '%s'\n", argv[i]);
+      std::exit(2);
+    }
+    if (std::find(command.flags.begin(), command.flags.end(), key) ==
+        command.flags.end()) {
+      std::fprintf(stderr, "unknown flag %s for '%s'\n",
+                   FlagSpelling(key).c_str(), command.name);
       std::exit(2);
     }
     if (IsBooleanFlag(key)) {
@@ -534,9 +548,6 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
       static_cast<std::uint32_t>(FlagU64(flags, "threads", 1));
   config.seed = FlagU64(flags, "seed", 1);
   config.batch_size = static_cast<std::size_t>(FlagU64(flags, "batch", 0));
-  // --pipeline 0 selects the legacy spawn-per-batch substrate (estimates
-  // are bit-identical; only throughput differs).
-  config.use_pipeline = FlagU64(flags, "pipeline", 1) != 0;
   config.num_vertices =
       static_cast<VertexId>(FlagU64(flags, "vertices", 0));
   config.max_degree_bound = FlagU64(flags, "max-degree", 0);
@@ -548,21 +559,8 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
   if (flags.count("median-of-means")) {
     config.aggregation = core::Aggregation::kMedianOfMeans;
   }
-  // Topology placement (tsb only): --pin binds worker k to its planned
-  // core; --numa off degrades to the single-node substrate everywhere.
-  config.topology.pin_threads = FlagU64(flags, "pin", 0) != 0;
-  if (flags.count("numa")) {
-    const std::string& numa = flags.at("numa");
-    if (numa == "auto") {
-      config.topology.numa = TopologyOptions::Numa::kAuto;
-    } else if (numa == "off") {
-      config.topology.numa = TopologyOptions::Numa::kOff;
-    } else {
-      std::fprintf(stderr, "flag --numa expects 'auto' or 'off', got '%s'\n",
-                   numa.c_str());
-      return Usage();
-    }
-  }
+  // tsb only: --pin binds worker k to its planned core.
+  config.pin_threads = FlagU64(flags, "pin", 0) != 0;
   if (!ParseSimdFlagInto(flags, &config.simd)) return Usage();
   auto estimator = engine::MakeEstimator(algo, config);
   if (!estimator.ok()) {
@@ -589,10 +587,8 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
   }
   const auto source = std::move(*opened);
 
-  engine::StreamEngineOptions engine_options;
+  engine::SessionOptions engine_options;
   engine_options.batch_size = config.batch_size;
-  engine_options.autotune = flags.count("autotune") != 0;
-  engine_options.replicate_stable_views = flags.count("numa-replicate") != 0;
 
   const bool has_checkpoint = flags.count("checkpoint") != 0;
   const bool has_resume = flags.count("resume") != 0;
@@ -600,21 +596,12 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "--checkpoint-every needs --checkpoint PATH\n");
     return Usage();
   }
-  if (has_checkpoint || has_resume) {
-    if (!(*estimator)->checkpointable()) {
-      std::fprintf(stderr,
-                   "algo '%s' is not checkpointable (tsb, bulk and "
-                   "dynamic are)\n",
-                   (*estimator)->name());
-      return 2;
-    }
-    if (engine_options.autotune) {
-      std::fprintf(stderr,
-                   "--autotune changes batch boundaries, which a resumed "
-                   "run cannot replay; drop it (or pin --batch) to use "
-                   "checkpoints\n");
-      return 2;
-    }
+  if ((has_checkpoint || has_resume) && !(*estimator)->checkpointable()) {
+    std::fprintf(stderr,
+                 "algo '%s' is not checkpointable (tsb, bulk and dynamic "
+                 "are)\n",
+                 (*estimator)->name());
+    return 2;
   }
   if (has_checkpoint) {
     engine_options.checkpoint_path = flags.at("checkpoint");
@@ -667,7 +654,7 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   const double tau = (*estimator)->EstimateTriangles();
-  const engine::StreamEngineMetrics& m = engine.metrics();
+  const engine::SessionMetrics& m = engine.metrics();
   std::printf("algo            : %s\n", (*estimator)->name());
   // The estimator's total, not m.edges: identical on a fresh run, but a
   // resumed run's metrics cover only the post-resume edges.
@@ -691,20 +678,17 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
   std::string substrate;
   if (auto* tsb =
           dynamic_cast<engine::ParallelEstimator*>(estimator->get())) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), ", %u shard(s) on %zu node(s), %s%s",
-                  tsb->counter().num_shards(), tsb->counter().num_nodes(),
-                  tsb->counter().pipelined() ? "pipelined"
-                                             : "spawn-per-batch",
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), ", %u shard(s)%s",
+                  tsb->counter().num_shards(),
                   tsb->counter().pinned() ? ", pinned" : "");
     substrate = buf;
   }
   std::printf("time            : %.3f s  (%.2f M edges/s%s)\n",
               m.total_seconds, m.edges_per_second() / 1e6,
               substrate.c_str());
-  std::printf("batches         : %llu x %zu edges (%s)\n",
-              static_cast<unsigned long long>(m.batches), m.batch_size,
-              m.autotuned ? "autotuned" : "static");
+  std::printf("batches         : %llu x %zu edges\n",
+              static_cast<unsigned long long>(m.batches), m.batch_size);
   std::printf("io/compute time : %.3f s / %.3f s (%s ingest)\n",
               m.io_seconds, m.compute_seconds, source_info.reader_name());
   if (m.checkpoints > 0) {
@@ -1106,27 +1090,45 @@ int CmdConvert(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+const Command kCommands[] = {
+    {"generate", CmdGenerate,
+     {"dataset", "output", "scale", "seed", "churn", "churn-schedule",
+      "churn-window"}},
+    {"inspect", CmdInspect, {"input"}},
+    {"stats", CmdStats, {"input"}},
+    {"count", CmdCount,
+     {"input", "algo", "estimators", "threads", "seed", "batch", "pin",
+      "simd", "mmap", "median-of-means", "checkpoint", "checkpoint-every",
+      "resume", "vertices", "max-degree", "colors", "groups",
+      "sample-prob"}},
+    {"window", CmdWindow, {"input", "window", "estimators", "seed"}},
+    {"live", CmdLive, {"listen", "window", "estimators", "seed", "report"}},
+    {"serve", CmdServe,
+     {"listen", "algo", "estimators", "seed", "threads", "batch", "simd",
+      "workers", "max-sessions", "memory-budget-mb", "queue-capacity",
+      "idle-timeout-ms", "accepts", "window", "vertices", "max-degree",
+      "colors", "groups", "sample-prob", "checkpoint-dir",
+      "checkpoint-every", "checkpoint-sync-every"}},
+    {"feed", CmdFeed,
+     {"connect", "input", "frame", "query-every", "stream-id", "retry",
+      "chaos-kill-after"}},
+    {"sample", CmdSample, {"input", "k", "max-degree", "estimators", "seed"}},
+    {"convert", CmdConvert, {"input", "output"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  // inspect takes its file as a bare positional ("inspect g.tris") for
-  // quick interactive use; --input works too.
-  if (command == "inspect" && argc >= 3 && argv[2][0] != '-') {
-    std::map<std::string, std::string> flags{{"input", argv[2]}};
-    return CmdInspect(flags);
+  const std::string name = argv[1];
+  for (const Command& command : kCommands) {
+    if (name != command.name) continue;
+    // inspect takes its file as a bare positional ("inspect g.tris") for
+    // quick interactive use; --input works too.
+    if (name == "inspect" && argc >= 3 && argv[2][0] != '-') {
+      return CmdInspect(Flags{{"input", argv[2]}});
+    }
+    return command.run(ParseFlags(argc, argv, 2, command));
   }
-  const auto flags = ParseFlags(argc, argv, 2);
-  if (command == "inspect") return CmdInspect(flags);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "stats") return CmdStats(flags);
-  if (command == "count") return CmdCount(flags);
-  if (command == "window") return CmdWindow(flags);
-  if (command == "live") return CmdLive(flags);
-  if (command == "serve") return CmdServe(flags);
-  if (command == "feed") return CmdFeed(flags);
-  if (command == "sample") return CmdSample(flags);
-  if (command == "convert") return CmdConvert(flags);
   return Usage();
 }
