@@ -2,8 +2,8 @@
 // the degree-frequency panels (log-scale frequency vs degree).
 //
 // The paper's values describe the original SNAP graphs; ours describe the
-// calibrated synthetic stand-ins at the configured scale (see DESIGN.md,
-// "Substitutions"). The property the evaluation depends on is the mΔ/τ
+// calibrated synthetic stand-ins at the configured scale (see
+// src/gen/datasets.h). The property the evaluation depends on is the mΔ/τ
 // ordering across datasets (Youtube-like hardest, Syn-d-regular easiest),
 // which the stand-ins preserve.
 

@@ -1,7 +1,7 @@
 // Shared plumbing for the paper-reproduction benchmark harnesses.
 //
 // Every bench binary regenerates one table or figure of the paper's
-// evaluation section (see DESIGN.md, per-experiment index). They share:
+// evaluation section (its file comment names which). They share:
 //   * environment-controlled scale knobs (the container reproduces shapes,
 //     not the authors' absolute hardware numbers);
 //   * dataset instantiation with exact ground truth;

@@ -12,10 +12,10 @@
 //              reservoirs pin down all four vertices and the remaining four
 //              edges are collected passively. E[Y] = τ4^II (Lemma 5.4).
 //
-// Deviation note (documented in DESIGN.md): with two independent uniform
-// reservoirs, a Type II clique is captured by BOTH assignments
-// (rA,rB) = (f1,f2) and (f2,f1), i.e. with probability 2/m² rather than the
-// 1/m² of Lemma 5.2, whose proof implicitly orders the pair. We therefore
+// Deviation note: with two independent uniform reservoirs, a Type II
+// clique is captured by BOTH assignments (rA,rB) = (f1,f2) and (f2,f1),
+// i.e. with probability 2/m² rather than the 1/m² of Lemma 5.2, whose
+// proof implicitly orders the pair. We therefore
 // set Y = m²/2 on detection, restoring E[Y] = τ4^II exactly; the
 // unbiasedness tests pin this down.
 

@@ -11,9 +11,9 @@
 // case.
 //
 // Determinism is the load-bearing invariant: for a fixed batch size,
-// Step()-until-done issues exactly the same NextBatchView call sequence
-// (same sizes, same order, same double-buffer discipline) as the old
-// monolithic Run loop, so estimates are bit-identical regardless of how
+// Step()-until-done issues exactly the same NextEventBatchView call
+// sequence (same sizes, same order, same double-buffer discipline) as the
+// old monolithic Run loop, so estimates are bit-identical regardless of how
 // the quanta interleave with other sessions. The parity suite
 // (tests/engine) locks this.
 //
@@ -64,7 +64,7 @@ struct SessionMetrics {
 
 /// Configuration of one session's drive loop, not of any estimator.
 struct SessionOptions {
-  /// Fetch size w per NextBatchView call. 0 defers to the estimator's
+  /// Fetch size w per NextEventBatchView call. 0 defers to the estimator's
   /// preferred_batch_size(), then to kDefaultBatchSize.
   std::size_t batch_size = 0;
 

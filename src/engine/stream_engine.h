@@ -18,8 +18,8 @@
 // sequence into the source and estimator a Session does.
 //
 // Determinism: with a fixed batch_size (explicit or the estimator's
-// preference) the session issues exactly the same NextBatchView calls as
-// the drivers it replaced, so estimates are bit-identical to pre-engine
+// preference) the session issues the same sequence of fetch sizes, through
+// NextEventBatchView, as the drivers it replaced, so estimates are bit-identical to pre-engine
 // output for a fixed seed -- the parity suite (tests/engine) locks this.
 
 #ifndef TRISTREAM_ENGINE_STREAM_ENGINE_H_

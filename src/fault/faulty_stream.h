@@ -41,28 +41,26 @@ class FaultyEdgeStream : public stream::EdgeStream {
   FaultyEdgeStream(stream::EdgeStream& inner, FaultSchedule schedule)
       : inner_(inner), schedule_(std::move(schedule)) {}
 
-  std::size_t NextBatch(std::size_t max_edges,
-                        std::vector<Edge>* batch) override;
-  std::span<const Edge> NextBatchView(std::size_t max_edges,
-                                      std::vector<Edge>* scratch) override;
   EventBatchView NextEventBatchView(std::size_t max_edges,
                                     stream::EventScratch* scratch) override;
   bool turnstile() const override { return inner_.turnstile(); }
   bool stable_views() const override { return inner_.stable_views(); }
   bool ready(std::size_t max_edges) const override;
-  void Reset() override;
   std::uint64_t edges_delivered() const override { return delivered_; }
   /// Inner I/O time plus injected stall time.
   double io_seconds() const override {
     return inner_.io_seconds() + stall_seconds_;
   }
-  /// The injected sticky failure once a point fired; the inner stream's
-  /// status otherwise.
-  Status status() const override {
-    return injected_.ok() ? inner_.status() : injected_;
-  }
 
   const FaultSchedule& schedule() const { return schedule_; }
+
+ protected:
+  void Rewind() override;
+  /// The injected sticky failure once a point fired; the inner stream's
+  /// status otherwise.
+  Status source_status() const override {
+    return injected_.ok() ? inner_.status() : injected_;
+  }
 
  private:
   /// Applies every point due at the current position. Returns false when

@@ -106,7 +106,7 @@ graph::EdgeList MakeDataset(DatasetId id, double scale, std::uint64_t seed) {
       // Exponent 2.6 keeps the scaled instance in the same extreme
       // regime (mΔ/τ in the tens of thousands; triangle counts shrink
       // superlinearly under downscaling, so the paper's exact 28107 is
-      // not reachable at reduced m -- see EXPERIMENTS.md).
+      // not reachable at reduced m).
       return Shuffled(ChungLuPowerLaw(n, m, /*exponent=*/2.6, seed), seed);
     }
     case DatasetId::kLiveJournal: {

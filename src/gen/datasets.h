@@ -4,8 +4,9 @@
 // (Figure 3, Sec. 4.2). Those exact files are not redistributable inside
 // this repository, so each dataset is replaced by a generator recipe that
 // preserves the properties the algorithms are sensitive to: m, Δ, τ, the
-// accuracy predictor mΔ/τ, and the degree-distribution shape (see
-// DESIGN.md, "Substitutions"). Every recipe accepts a scale factor in
+// accuracy predictor mΔ/τ, and the degree-distribution shape (each
+// recipe's comment in datasets.cc records its fit against the paper's
+// values). Every recipe accepts a scale factor in
 // (0, 1] that shrinks the instance for time-boxed benchmarking; reference
 // values from the paper are carried alongside so benches can print
 // paper-vs-measured tables.

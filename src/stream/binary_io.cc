@@ -198,7 +198,7 @@ std::size_t BinaryFileEdgeStream::ReadRecords(std::size_t want,
                                               std::vector<Edge>* edges,
                                               std::vector<EdgeOp>* ops) {
   edges->clear();
-  if (ops != nullptr) ops->clear();
+  ops->clear();
   const std::uint64_t remaining = total_edges_ - delivered_;
   const std::size_t take =
       static_cast<std::size_t>(std::min<std::uint64_t>(want, remaining));
@@ -232,7 +232,7 @@ std::size_t BinaryFileEdgeStream::ReadRecords(std::size_t want,
     }
   }
   std::size_t count = got / 2;
-  if (version_ == kTrisVersion2 && ops != nullptr && count > 0) {
+  if (version_ == kTrisVersion2 && count > 0) {
     ops->resize(count);
     io_timer_.Resume();
     std::fseek(file_,
@@ -276,45 +276,14 @@ std::size_t BinaryFileEdgeStream::ReadRecords(std::size_t want,
   return count;
 }
 
-std::size_t BinaryFileEdgeStream::NextBatch(std::size_t max_edges,
-                                            std::vector<Edge>* batch) {
-  if (version_ == kTrisVersion) {
-    return ReadRecords(max_edges, batch, nullptr);
-  }
-  // Edge-only read of a turnstile file: legal while every event is an
-  // insert, a loud sticky failure at the first actual delete -- never a
-  // silently misread op.
-  std::vector<EdgeOp> ops;
-  const std::size_t got = ReadRecords(max_edges, batch, &ops);
-  for (std::size_t i = 0; i < got; ++i) {
-    if (ops[i] == EdgeOp::kDelete) {
-      if (status_.ok()) {
-        status_ = Status::InvalidArgument(
-            "edge file '" + path_ + "' is a turnstile (TRIS v2) stream with "
-            "delete events; this consumer reads edges only -- use the "
-            "event API or an estimator that supports deletions");
-      }
-      batch->clear();
-      return 0;
-    }
-  }
-  return got;
-}
-
 EventBatchView BinaryFileEdgeStream::NextEventBatchView(
     std::size_t max_edges, EventScratch* scratch) {
-  const std::size_t got =
-      ReadRecords(max_edges, &scratch->edges,
-                  version_ == kTrisVersion2 ? &scratch->ops : nullptr);
-  if (got == 0) return {};
-  std::span<const EdgeOp> ops;
-  if (version_ == kTrisVersion2) {
-    ops = std::span<const EdgeOp>(scratch->ops);
-  }
-  return EventBatchView{std::span<const Edge>(scratch->edges), ops};
+  if (ReadRecords(max_edges, &scratch->edges, &scratch->ops) == 0) return {};
+  return EventBatchView{std::span<const Edge>(scratch->edges),
+                        std::span<const EdgeOp>(scratch->ops)};
 }
 
-void BinaryFileEdgeStream::Reset() {
+void BinaryFileEdgeStream::Rewind() {
   std::clearerr(file_);
   std::fseek(file_, static_cast<long>(kTrisHeaderBytes), SEEK_SET);
   delivered_ = 0;

@@ -22,8 +22,8 @@
 //   Readers treat a payload shorter than its section math -- including a
 //   tail that ends mid-pair or inside the op section -- as CorruptData,
 //   and a read(2)-level failure as IoError. Edge-only reads of a v2 file
-//   fail with a sticky InvalidArgument at the first actual delete event
-//   (see stream/README.md for the full contract).
+//   refuse the batch holding the first delete with a sticky
+//   InvalidArgument (see stream/README.md for the full contract).
 //
 // Readers of this format:
 //   * BinaryFileEdgeStream (here): buffered FILE reads, batch = one copy.
@@ -103,23 +103,14 @@ class BinaryFileEdgeStream : public EdgeStream {
   BinaryFileEdgeStream(const BinaryFileEdgeStream&) = delete;
   BinaryFileEdgeStream& operator=(const BinaryFileEdgeStream&) = delete;
 
-  std::size_t NextBatch(std::size_t max_edges,
-                        std::vector<Edge>* batch) override;
   /// v2 files deliver real ops (read from the trailing op section with a
   /// second positioned read per batch); v1 files keep the empty-ops fast
   /// path. `scratch` must be non-null (views point into it).
   EventBatchView NextEventBatchView(std::size_t max_edges,
                                     EventScratch* scratch) override;
   bool turnstile() const override { return version_ == kTrisVersion2; }
-  void Reset() override;
   std::uint64_t edges_delivered() const override { return delivered_; }
   double io_seconds() const override { return io_timer_.Seconds(); }
-
-  /// Sticky: IoError when a read failed mid-stream, CorruptData when the
-  /// payload ended before the header's edge count (a short batch then
-  /// means a damaged prefix, not end of file), InvalidArgument when an
-  /// edge-only NextBatch hit a delete event. Cleared by Reset().
-  Status status() const override { return status_; }
 
   /// Total edges/events in the file.
   std::uint64_t total_edges() const { return total_edges_; }
@@ -127,13 +118,20 @@ class BinaryFileEdgeStream : public EdgeStream {
   /// TRIS format version of the file (1 or 2).
   std::uint32_t version() const { return version_; }
 
+ protected:
+  void Rewind() override;
+  /// Sticky: IoError when a read failed mid-stream, CorruptData when the
+  /// payload ended before the header's edge count (a short batch then
+  /// means a damaged prefix, not end of file) or an op byte is invalid.
+  Status source_status() const override { return status_; }
+
  private:
   BinaryFileEdgeStream(std::FILE* file, std::uint32_t version,
                        std::uint64_t total_edges, std::string path);
 
   /// Positioned read of `want` pairs at the stream cursor into `edges`
   /// (resized to the delivered count) and, for v2, the matching op bytes
-  /// into `ops`. Shared by both pull surfaces; sets the sticky status on
+  /// into `ops` (left empty for v1). Sets the sticky status on
   /// truncation/IoError/bad op byte.
   std::size_t ReadRecords(std::size_t want, std::vector<Edge>* edges,
                           std::vector<EdgeOp>* ops);

@@ -150,44 +150,6 @@ void MmapEdgeStream::Prefault(std::uint64_t end_edge) {
   prefaulted_op_bytes_ = end_op_byte;
 }
 
-std::span<const Edge> MmapEdgeStream::NextBatchView(
-    std::size_t max_edges, std::vector<Edge>* /*scratch*/) {
-  const std::uint64_t remaining = total_edges_ - cursor_;
-  const std::size_t take =
-      static_cast<std::size_t>(std::min<std::uint64_t>(max_edges, remaining));
-  if (take == 0) return {};
-  Prefault(cursor_ + take);
-  if (ops_ != nullptr) {
-    // Edge-only read of a turnstile file: legal while every event is an
-    // insert, a loud sticky failure at the first actual delete.
-    const std::uint8_t* ops =
-        reinterpret_cast<const std::uint8_t*>(ops_ + cursor_);
-    std::uint8_t bad = 0;
-    if (!ValidateOpBytes(ops, take, &bad)) {
-      if (status_.ok()) {
-        status_ = Status::CorruptData(
-            "edge file: op byte " + std::to_string(bad) +
-            " is neither insert nor delete");
-      }
-      return {};
-    }
-    for (std::size_t i = 0; i < take; ++i) {
-      if (ops_[cursor_ + i] == EdgeOp::kDelete) {
-        if (status_.ok()) {
-          status_ = Status::InvalidArgument(
-              "turnstile (TRIS v2) stream with delete events; this consumer "
-              "reads edges only -- use the event API or an estimator that "
-              "supports deletions");
-        }
-        return {};
-      }
-    }
-  }
-  std::span<const Edge> view(payload_ + cursor_, take);
-  cursor_ += take;
-  return view;
-}
-
 EventBatchView MmapEdgeStream::NextEventBatchView(std::size_t max_edges,
                                                   EventScratch* /*scratch*/) {
   const std::uint64_t remaining = total_edges_ - cursor_;
@@ -214,15 +176,7 @@ EventBatchView MmapEdgeStream::NextEventBatchView(std::size_t max_edges,
   return view;
 }
 
-std::size_t MmapEdgeStream::NextBatch(std::size_t max_edges,
-                                      std::vector<Edge>* batch) {
-  batch->clear();
-  const std::span<const Edge> view = NextBatchView(max_edges, nullptr);
-  batch->assign(view.begin(), view.end());
-  return view.size();
-}
-
-void MmapEdgeStream::Reset() {
+void MmapEdgeStream::Rewind() {
   cursor_ = 0;
   prefaulted_bytes_ = 0;
   prefaulted_op_bytes_ = 0;

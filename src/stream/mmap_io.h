@@ -11,7 +11,7 @@
 // I/O accounting: with mmap the disk reads happen at page-fault time, not
 // at a read(2) call site. To keep the paper's I/O-vs-processing split
 // (Table 3) meaningful -- and to let a pipelined consumer overlap disk
-// latency with estimator work -- NextBatchView prefaults the pages of the
+// latency with estimator work -- each pull prefaults the pages of the
 // batch it returns (one touch per 4 KiB page) on the calling thread under
 // the io stopwatch, after advising the kernel of sequential access
 // (madvise MADV_SEQUENTIAL doubles the readahead window). The spans stay
@@ -54,26 +54,16 @@ class MmapEdgeStream : public EdgeStream {
   MmapEdgeStream(const MmapEdgeStream&) = delete;
   MmapEdgeStream& operator=(const MmapEdgeStream&) = delete;
 
-  std::size_t NextBatch(std::size_t max_edges,
-                        std::vector<Edge>* batch) override;
-  std::span<const Edge> NextBatchView(std::size_t max_edges,
-                                      std::vector<Edge>* scratch) override;
   /// v2 files deliver both spans straight from the mapping (scratch is
   /// ignored); v1 files keep the empty-ops fast path.
   EventBatchView NextEventBatchView(std::size_t max_edges,
                                     EventScratch* scratch) override;
   bool turnstile() const override;
   bool stable_views() const override { return true; }
-  void Reset() override;
   std::uint64_t edges_delivered() const override { return cursor_; }
   /// Seconds spent prefaulting mapped pages (the mmap analogue of read
   /// time; cold-cache faults dominate it, warm-cache runs show ~0).
   double io_seconds() const override { return io_timer_.Seconds(); }
-
-  /// Sticky: InvalidArgument when an edge-only pull hit a delete event,
-  /// CorruptData when an op byte is neither insert nor delete. Cleared by
-  /// Reset().
-  Status status() const override { return status_; }
 
   /// Total edges/events in the file.
   std::uint64_t total_edges() const { return total_edges_; }
@@ -85,6 +75,11 @@ class MmapEdgeStream : public EdgeStream {
   std::span<const Edge> edges() const {
     return std::span<const Edge>(payload_, total_edges_);
   }
+
+ protected:
+  void Rewind() override;
+  /// Sticky CorruptData when an op byte is neither insert nor delete.
+  Status source_status() const override { return status_; }
 
  private:
   MmapEdgeStream(void* map, std::size_t map_bytes, std::uint32_t version,

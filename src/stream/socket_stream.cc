@@ -13,7 +13,6 @@
 #include <string>
 
 #include "stream/binary_io.h"
-#include "util/logging.h"
 
 namespace tristream {
 namespace stream {
@@ -113,14 +112,14 @@ std::size_t SocketEdgeStream::FillEvents(std::size_t max_edges,
                                          std::vector<Edge>* edges,
                                          std::vector<EdgeOp>* ops) {
   edges->clear();
-  if (ops != nullptr) ops->clear();
+  ops->clear();
   if (eof_ || !status_.ok()) return 0;
   // Fill the batch across frame boundaries: batch boundaries then depend
   // only on the event sequence and max_edges, never on how the producer
   // chunked its sends -- which is what keeps socket ingest bit-identical
   // to file and memory ingest for a fixed (seed, threads).
   edges->resize(max_edges);
-  if (ops != nullptr) ops->resize(max_edges);
+  ops->resize(max_edges);
   std::size_t filled = 0;
   bool any_delete = false;
   while (filled < max_edges) {
@@ -178,11 +177,9 @@ std::size_t SocketEdgeStream::FillEvents(std::size_t max_edges,
         }
         break;
       }
-      if (ops != nullptr) {
-        std::fill(ops->begin() + static_cast<std::ptrdiff_t>(filled),
-                  ops->begin() + static_cast<std::ptrdiff_t>(filled + take),
-                  EdgeOp::kInsert);
-      }
+      std::fill(ops->begin() + static_cast<std::ptrdiff_t>(filled),
+                ops->begin() + static_cast<std::ptrdiff_t>(filled + take),
+                EdgeOp::kInsert);
       frame_remaining_ -= take;
       filled += take;
       continue;
@@ -210,51 +207,27 @@ std::size_t SocketEdgeStream::FillEvents(std::size_t max_edges,
         break;
       }
       const EdgeOp op = static_cast<EdgeOp>(op_byte);
-      if (ops == nullptr && op == EdgeOp::kDelete) {
-        // Edge-only consumer: deliver the insert prefix, then fail
-        // loudly -- the delete is never silently dropped.
-        status_ = Status::InvalidArgument(
-            "edge socket carries delete events (TRIS v2 frame); this "
-            "consumer reads edges only -- use the event API or an "
-            "estimator that supports deletions");
-        failed = true;
-        break;
-      }
       std::memcpy(edges->data() + filled, rec, sizeof(Edge));
-      if (ops != nullptr) {
-        (*ops)[filled] = op;
-        any_delete = any_delete || op == EdgeOp::kDelete;
-      }
+      (*ops)[filled] = op;
+      any_delete = any_delete || op == EdgeOp::kDelete;
       ++filled;
     }
     if (failed) break;
   }
   edges->resize(filled);
-  if (ops != nullptr) {
-    ops->resize(filled);
-    // All-insert batches report an empty ops span so downstream keeps the
-    // insert-only fast path.
-    if (!any_delete) ops->clear();
-  }
+  ops->resize(filled);
+  // All-insert batches report an empty ops span so downstream keeps the
+  // insert-only fast path.
+  if (!any_delete) ops->clear();
   delivered_ += filled;
   return filled;
 }
 
-std::size_t SocketEdgeStream::NextBatch(std::size_t max_edges,
-                                        std::vector<Edge>* batch) {
-  return FillEvents(max_edges, batch, nullptr);
-}
-
 EventBatchView SocketEdgeStream::NextEventBatchView(std::size_t max_edges,
                                                     EventScratch* scratch) {
-  EventScratch& out = scratch != nullptr ? *scratch : event_scratch_;
-  FillEvents(max_edges, &out.edges, &out.ops);
-  return EventBatchView{std::span<const Edge>(out.edges),
-                        std::span<const EdgeOp>(out.ops)};
-}
-
-void SocketEdgeStream::Reset() {
-  TRISTREAM_CHECK(false && "SocketEdgeStream cannot replay a live socket");
+  FillEvents(max_edges, &scratch->edges, &scratch->ops);
+  return EventBatchView{std::span<const Edge>(scratch->edges),
+                        std::span<const EdgeOp>(scratch->ops)};
 }
 
 Result<TcpListener> ListenOnLoopback(std::uint16_t port) {

@@ -24,9 +24,11 @@
 //   EOF mid-frame (truncated header or payload)  -> CorruptData
 //   bad magic / unsupported version / bad op     -> CorruptData
 //   recv(2) error                                -> IoError
-//   delete event hitting an edge-only NextBatch  -> InvalidArgument
 //
-// NextBatch is batch-granular and fills across frame boundaries: a huge
+// (An edge-only read of a batch holding a delete is refused by
+// EdgeStream's shims with InvalidArgument, as for every source.)
+//
+// A pull is batch-granular and fills across frame boundaries: a huge
 // frame never forces a huge batch (pops are capped at max_edges) and
 // ragged frames never shrink one (a short batch happens only at end of
 // stream or failure). Batch boundaries are therefore a pure function of
@@ -35,7 +37,7 @@
 // and memory ingest for a fixed (seed, threads); max_edges doubles as
 // the consumer's latency bound. Read time accumulates on the
 // io_seconds() stopwatch like the file readers' read time. Live sockets
-// cannot replay; Reset() CHECK-fails.
+// cannot replay; Reset() CHECK-fails (EdgeStream's default Rewind()).
 //
 // SocketEdgeStream wraps any connected stream-socket fd (TCP, socketpair,
 // UNIX domain), so tests drive it over socketpair(2) and the CLI's `live`
@@ -70,29 +72,16 @@ class SocketEdgeStream : public EdgeStream {
   SocketEdgeStream(const SocketEdgeStream&) = delete;
   SocketEdgeStream& operator=(const SocketEdgeStream&) = delete;
 
-  std::size_t NextBatch(std::size_t max_edges,
-                        std::vector<Edge>* batch) override;
-  /// Event pull with NextBatch's batching semantics (fills across frames,
-  /// v1 frames decode as all-inserts). Fills `scratch` (or internal
-  /// buffers when null) and returns a view of it; the ops span is empty
-  /// when the batch is all-inserts.
+  /// Fills across frames (v1 frames decode as all-inserts) into
+  /// `*scratch` and returns a view of it; the ops span is empty when the
+  /// batch is all-inserts.
   EventBatchView NextEventBatchView(std::size_t max_edges,
                                     EventScratch* scratch) override;
   /// True once any v2 frame has been received.
   bool turnstile() const override { return saw_v2_; }
-  /// Live sockets cannot replay; calling Reset is a programmer error.
-  void Reset() override;
   std::uint64_t edges_delivered() const override { return delivered_; }
   /// Seconds spent blocked in recv(2).
   double io_seconds() const override { return io_timer_.Seconds(); }
-  /// Sticky: IoError on a socket read failure, CorruptData on a malformed
-  /// or truncated frame, DeadlineExceeded when the receive idle timeout
-  /// fires; OK after orderly shutdown at a frame boundary. One deliberate
-  /// carve-out: a peer that disconnects before completing its *first*
-  /// frame header reports IoError ("peer closed before handshake"), not
-  /// CorruptData -- nothing was ever parsed, so the failure is transport
-  /// flakiness (retryable), not a framing bug (which is not).
-  Status status() const override { return status_; }
 
   /// Edges the sender promised in the current frame but not yet delivered.
   std::uint64_t frame_remaining() const { return frame_remaining_; }
@@ -108,6 +97,16 @@ class SocketEdgeStream : public EdgeStream {
   }
   int receive_idle_timeout_millis() const { return idle_timeout_millis_; }
 
+ protected:
+  /// Sticky: IoError on a socket read failure, CorruptData on a malformed
+  /// or truncated frame, DeadlineExceeded when the receive idle timeout
+  /// fires; OK after orderly shutdown at a frame boundary. One deliberate
+  /// carve-out: a peer that disconnects before completing its *first*
+  /// frame header reports IoError ("peer closed before handshake"), not
+  /// CorruptData -- nothing was ever parsed, so the failure is transport
+  /// flakiness (retryable), not a framing bug (which is not).
+  Status source_status() const override { return status_; }
+
  private:
   explicit SocketEdgeStream(int fd) : fd_(fd) { io_timer_.Pause(); }
 
@@ -120,10 +119,8 @@ class SocketEdgeStream : public EdgeStream {
   /// (IoError).
   ReadResult ReadExact(void* out, std::size_t bytes);
 
-  /// Shared pop core. With `ops == nullptr` (edge-only consumer) a v2
-  /// delete record stops the fill and sets the sticky InvalidArgument;
-  /// with ops the records are delivered verbatim (ops cleared when the
-  /// whole batch is inserts). Returns events delivered.
+  /// Fills up to `max_edges` events into `edges`/`ops` across frames (ops
+  /// cleared when the whole batch is inserts). Returns events delivered.
   std::size_t FillEvents(std::size_t max_edges, std::vector<Edge>* edges,
                          std::vector<EdgeOp>* ops);
 
@@ -135,14 +132,12 @@ class SocketEdgeStream : public EdgeStream {
   bool eof_ = false;
   bool saw_v2_ = false;
   /// True once a complete frame header has been received; gates the
-  /// pre-handshake IoError reclassification (see status()).
+  /// pre-handshake IoError reclassification (see source_status()).
   bool handshaken_ = false;
   Status status_;
   /// Staging for v2 record payloads (9-byte records cannot land directly
   /// in an Edge vector the way v1 pairs do).
   std::vector<std::uint8_t> record_buf_;
-  /// Fallback staging for NextEventBatchView(scratch == nullptr).
-  EventScratch event_scratch_;
   mutable WallTimer io_timer_;
 };
 

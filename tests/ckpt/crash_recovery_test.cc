@@ -212,23 +212,30 @@ void RunKillResumeCycle(const std::vector<std::string>& base_args,
   victim_args.insert(victim_args.end(),
                      {"--checkpoint", ckpt, "--checkpoint-every", "20000"});
   const ChildOutcome victim = RunCli(victim_args, prev);
-  ASSERT_TRUE(FileExists(ckpt)) << victim.stderr_text;
+  // The kill may land between the rotation's two renames (path -> .prev,
+  // then tmp -> path). The primary is then absent and .prev is the one
+  // complete generation, which LoadCheckpoint falls back to: a valid crash
+  // state, resumed below through that fallback. (If the machine was slow
+  // enough that the child finished before the kill landed, the files are
+  // still a valid mid-stream snapshot pair and the resume check below is
+  // unchanged.)
   ASSERT_TRUE(FileExists(prev)) << victim.stderr_text;
-  // (If the machine was slow enough that the child finished before the
-  // kill landed, the files are still a valid mid-stream snapshot pair and
-  // the resume check below is unchanged.)
+  const bool primary_survived = FileExists(ckpt);
 
   // Freeze what the crash left behind, then resume from the copy.
-  CopyFile(ckpt, saved);
+  if (primary_survived) CopyFile(ckpt, saved);
   CopyFile(prev, saved_prev);
+  ASSERT_EQ(FileExists(saved), primary_survived);
   std::vector<std::string> resume_args = base_args;
   resume_args.insert(resume_args.end(), {"--resume", saved});
   const ChildOutcome resumed = RunCli(resume_args);
   ASSERT_EQ(resumed.exit_code, 0) << resumed.stderr_text;
   EXPECT_NE(resumed.stderr_text.find("resumed from"), std::string::npos)
+      << "primary " << (primary_survived ? "present" : "absent") << ": "
       << resumed.stderr_text;
   EXPECT_EQ(EstimateLines(resumed.stdout_text), expected)
-      << "resume after SIGKILL diverged from the uninterrupted run";
+      << "resume after SIGKILL diverged from the uninterrupted run (primary "
+      << (primary_survived ? "present" : "absent, resumed from .prev") << ")";
 
   // Torn-primary fallback: garbage where the newest snapshot was (a crash
   // inside WriteFileAtomic's window) must fall back to the retained

@@ -25,46 +25,6 @@ namespace tristream {
 namespace engine {
 namespace {
 
-/// In-memory turnstile source over an owned event list.
-class MemoryEventStream : public stream::EdgeStream {
- public:
-  explicit MemoryEventStream(const EdgeEventList& events) : events_(&events) {}
-
-  std::size_t NextBatch(std::size_t max_edges,
-                        std::vector<Edge>* batch) override {
-    batch->clear();
-    // Edge-only pulls are only exercised via the event API in these tests.
-    stream::EventScratch scratch;
-    const EventBatchView view = NextEventBatchView(max_edges, &scratch);
-    if (view.has_deletes()) return 0;
-    batch->assign(view.edges.begin(), view.edges.end());
-    return batch->size();
-  }
-
-  EventBatchView NextEventBatchView(std::size_t max_edges,
-                                    stream::EventScratch* scratch) override {
-    (void)scratch;
-    const std::size_t n =
-        std::min(max_edges, events_->size() - static_cast<std::size_t>(cursor_));
-    const EventBatchView view{
-        std::span<const Edge>(events_->edges).subspan(cursor_, n),
-        events_->ops.empty()
-            ? std::span<const EdgeOp>{}
-            : std::span<const EdgeOp>(events_->ops).subspan(cursor_, n)};
-    cursor_ += n;
-    return view;
-  }
-
-  bool turnstile() const override { return events_->has_deletes(); }
-  bool stable_views() const override { return true; }
-  void Reset() override { cursor_ = 0; }
-  std::uint64_t edges_delivered() const override { return cursor_; }
-
- private:
-  const EdgeEventList* events_;
-  std::uint64_t cursor_ = 0;
-};
-
 EdgeEventList ChurnedStream(double delete_fraction, std::uint64_t seed) {
   const auto graph = gen::GnmRandom(60, 600, seed);
   gen::ChurnOptions churn;
@@ -113,7 +73,7 @@ TEST(TurnstileEngineTest, InsertOnlyEstimatorRefusesDeletesNamingItself) {
     config.num_vertices = 64;  // buriol needs the universe in advance
     auto est = MakeEstimator(algo, config);
     ASSERT_TRUE(est.ok()) << est.status();
-    MemoryEventStream source(events);
+    stream::MemoryEdgeStream source(events);
     StreamEngine eng;
     const Status streamed = eng.Run(**est, source);
     ASSERT_FALSE(streamed.ok()) << algo;
@@ -130,7 +90,7 @@ TEST(TurnstileEngineTest, SessionFailsStickyOnDeleteBatch) {
   const EdgeEventList events = ChurnedStream(0.5, 6);
   auto est = MakeEstimator("tsb", EstimatorConfig{});
   ASSERT_TRUE(est.ok());
-  MemoryEventStream source(events);
+  stream::MemoryEdgeStream source(events);
   Session session(**est, source, SessionOptions{});
   while (!session.done()) session.Step();
   EXPECT_EQ(session.state(), SessionState::kFailed);
@@ -145,7 +105,7 @@ TEST(TurnstileEngineTest, InsertOnlyEstimatorStillRunsOnInsertOnlyEvents) {
   ASSERT_FALSE(events.has_deletes());
   auto est = MakeEstimator("bulk", EstimatorConfig{});
   ASSERT_TRUE(est.ok());
-  MemoryEventStream source(events);
+  stream::MemoryEdgeStream source(events);
   StreamEngine eng;
   EXPECT_TRUE(eng.Run(**est, source).ok());
   EXPECT_EQ((*est)->edges_processed(), graph.size());
@@ -158,7 +118,7 @@ TEST(TurnstileEngineTest, DynamicEstimatorAbsorbsChurnExactly) {
   auto est = MakeEstimator("dynamic", ExactDynamicConfig());
   ASSERT_TRUE(est.ok()) << est.status();
   EXPECT_TRUE((*est)->supports_deletions());
-  MemoryEventStream source(events);
+  stream::MemoryEdgeStream source(events);
   StreamEngine eng;
   ASSERT_TRUE(eng.Run(**est, source).ok());
   EXPECT_EQ((*est)->edges_processed(), events.size());

@@ -1,12 +1,21 @@
 // Turnstile (TRIS v2) coverage: event round-trips through files (FILE and
 // mmap readers), queues, and text; v1 compatibility (passthrough writes,
-// all-insert decoding); and the loud-failure contract for edge-only reads,
-// truncation, and bad op bytes.
+// all-insert decoding); and the loud-failure contract for edge-only reads
+// (table-driven over every source and decorator), truncation, and bad op
+// bytes.
 
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "fault/faulty_stream.h"
 #include "graph/edge_list.h"
 #include "gtest/gtest.h"
 #include "stream/binary_io.h"
@@ -14,6 +23,7 @@
 #include "stream/edge_stream.h"
 #include "stream/mmap_io.h"
 #include "stream/queue_stream.h"
+#include "stream/socket_stream.h"
 #include "stream/text_io.h"
 
 namespace tristream {
@@ -359,6 +369,246 @@ TEST(TurnstileRoundTripTest, ResetReplaysV2File) {
     (*opened)->Reset();
     ExpectSameEvents(DrainEvents(**opened), ev);
   }
+}
+
+// ------------------------------- edge-only contract, every source at once
+//
+// The edge-only pulls are EdgeStream shims over the one event pull, so
+// every source and decorator must agree with its own event view on
+// insert-only input and refuse, stickily, the whole batch holding the
+// first delete.
+
+/// One row of the contract table.
+struct SourceCase {
+  std::string name;
+  /// A fresh stream serving `events` from the first event on (`events`
+  /// outlives it).
+  std::function<std::shared_ptr<EdgeStream>(const EdgeEventList&)> open;
+  /// Reset() is legal: a live socket cannot replay.
+  bool resets = true;
+  /// After Reset() the events come again: a reset queue reopens empty.
+  bool replays = true;
+};
+
+void PrintTo(const SourceCase& c, std::ostream* out) { *out << c.name; }
+
+/// Writes `events` to a fresh file and opens it through OpenEdgeSource.
+std::shared_ptr<EdgeStream> OpenFile(const EdgeEventList& events, bool text,
+                                     EdgeSourceOptions options) {
+  static int serial = 0;
+  const std::string path = TempPath("contract_" + std::to_string(serial++) +
+                                    (text ? ".txt" : ".tris"));
+  const Status written = text ? WriteTextEvents(path, events)
+                              : WriteBinaryEvents(path, events);
+  EXPECT_TRUE(written.ok()) << written.ToString();
+  auto opened = OpenEdgeSource(path, options);
+  std::remove(path.c_str());  // the open stream keeps what it needs
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  if (!opened.ok()) return nullptr;
+  return std::shared_ptr<EdgeStream>(std::move(*opened));
+}
+
+/// A socket stream whose peer sent `events` in frames of three and left.
+std::shared_ptr<EdgeStream> OpenSocket(const EdgeEventList& events) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::span<const Edge> edges(events.edges);
+  for (std::size_t at = 0; at < events.size(); at += 3) {
+    const std::size_t n = std::min<std::size_t>(3, events.size() - at);
+    const std::span<const EdgeOp> ops =
+        events.ops.empty() ? std::span<const EdgeOp>{}
+                           : std::span<const EdgeOp>(events.ops).subspan(at, n);
+    EXPECT_TRUE(WriteEventFrame(fds[0], edges.subspan(at, n), ops).ok());
+  }
+  ::close(fds[0]);
+  auto source = SocketEdgeStream::FromFd(fds[1]);
+  EXPECT_TRUE(source.ok());
+  return std::shared_ptr<EdgeStream>(std::move(*source));
+}
+
+std::shared_ptr<EdgeStream> OpenQueue(const EdgeEventList& events) {
+  auto queue = std::make_shared<QueueEdgeStream>(1024);
+  EXPECT_EQ(queue->PushEvents(events.edges, events.ops), events.size());
+  queue->Close();
+  return queue;
+}
+
+/// FaultyEdgeStream does not own its inner stream.
+struct FaultyOverMemory {
+  explicit FaultyOverMemory(const EdgeEventList& events) : inner(events) {}
+  MemoryEdgeStream inner;
+  fault::FaultyEdgeStream faulty{inner, fault::FaultSchedule()};
+};
+
+std::vector<SourceCase> ContractCases() {
+  return {
+      {"Memory",
+       [](const EdgeEventList& ev) {
+         return std::make_shared<MemoryEdgeStream>(ev);
+       }},
+      {"Text",
+       [](const EdgeEventList& ev) { return OpenFile(ev, true, {}); }},
+      {"Mmap",
+       [](const EdgeEventList& ev) { return OpenFile(ev, false, {}); }},
+      {"File",
+       [](const EdgeEventList& ev) {
+         return OpenFile(ev, false, {.prefer_mmap = false});
+       }},
+      {"Queue", OpenQueue, true, false},
+      {"Socket", OpenSocket, false, false},
+      {"DedupOverMmap",
+       [](const EdgeEventList& ev) {
+         return OpenFile(ev, false, {.dedup = true});
+       }},
+      {"DedupOverFile",
+       [](const EdgeEventList& ev) {
+         return OpenFile(ev, false, {.prefer_mmap = false, .dedup = true});
+       }},
+      {"FaultyOverMemory",
+       [](const EdgeEventList& ev) {
+         auto holder = std::make_shared<FaultyOverMemory>(ev);
+         return std::shared_ptr<EdgeStream>(holder, &holder->faulty);
+       }},
+  };
+}
+
+enum class Pull { kCopy, kView, kEvents };
+
+/// Drains `s` with `max_edges`-sized pulls of one kind; returns the edges
+/// of each batch, up to the first empty one.
+std::vector<std::vector<Edge>> DrainBatches(EdgeStream& s, Pull pull,
+                                            std::size_t max_edges) {
+  std::vector<std::vector<Edge>> batches;
+  std::vector<Edge> scratch;
+  EventScratch events;
+  for (;;) {
+    std::vector<Edge> batch;
+    if (pull == Pull::kCopy) {
+      s.NextBatch(max_edges, &batch);
+    } else if (pull == Pull::kView) {
+      const std::span<const Edge> view = s.NextBatchView(max_edges, &scratch);
+      batch.assign(view.begin(), view.end());
+    } else {
+      const EventBatchView view = s.NextEventBatchView(max_edges, &events);
+      batch.assign(view.edges.begin(), view.edges.end());
+    }
+    if (batch.empty()) return batches;
+    batches.push_back(std::move(batch));
+  }
+}
+
+/// Inserts of a simple graph: a path and its chords.
+EdgeEventList ContractInserts() {
+  EdgeEventList ev;
+  for (VertexId v = 0; v < 6; ++v) {
+    ev.Add(Edge(v, v + 1));
+    ev.Add(Edge(v, v + 2));
+  }
+  return ev;
+}
+
+/// First delete at position 5. Every delete removes a live edge, so a
+/// dedup filter admits every event unchanged.
+EdgeEventList ContractEvents() {
+  EdgeEventList ev;
+  for (VertexId v = 0; v < 5; ++v) ev.Add(Edge(v, v + 1));
+  ev.Add(Edge(1, 2), EdgeOp::kDelete);
+  ev.Add(Edge(5, 6));
+  ev.Add(Edge(0, 1), EdgeOp::kDelete);
+  ev.Add(Edge(1, 2));
+  return ev;
+}
+constexpr std::size_t kContractFirstDelete = 5;
+
+class EdgeOnlyContractTest : public ::testing::TestWithParam<SourceCase> {};
+
+TEST_P(EdgeOnlyContractTest, InsertOnlyPullsYieldIdenticalBatches) {
+  const SourceCase& c = GetParam();
+  const EdgeEventList events = ContractInserts();
+  for (const std::size_t max_edges : {1, 3, 4, 16}) {
+    SCOPED_TRACE("max_edges=" + std::to_string(max_edges));
+    const auto by_events = DrainBatches(*c.open(events), Pull::kEvents,
+                                        max_edges);
+    EXPECT_EQ(DrainBatches(*c.open(events), Pull::kCopy, max_edges),
+              by_events);
+    EXPECT_EQ(DrainBatches(*c.open(events), Pull::kView, max_edges),
+              by_events);
+    std::vector<Edge> all;
+    for (const std::vector<Edge>& batch : by_events) {
+      all.insert(all.end(), batch.begin(), batch.end());
+    }
+    EXPECT_EQ(all, events.edges);
+  }
+}
+
+TEST_P(EdgeOnlyContractTest, FirstDeleteRefusesItsWholeBatchStickily) {
+  const SourceCase& c = GetParam();
+  const EdgeEventList events = ContractEvents();
+  for (const Pull pull : {Pull::kCopy, Pull::kView}) {
+    for (const std::size_t max_edges : {1, 2, 3, 4, 16}) {
+      SCOPED_TRACE(std::string(pull == Pull::kCopy ? "NextBatch" :
+                                                     "NextBatchView") +
+                   " max_edges=" + std::to_string(max_edges));
+      const std::shared_ptr<EdgeStream> s = c.open(events);
+      std::vector<Edge> delivered;
+      for (const std::vector<Edge>& batch : DrainBatches(*s, pull,
+                                                         max_edges)) {
+        delivered.insert(delivered.end(), batch.begin(), batch.end());
+      }
+      // Every batch before the one holding the first delete, nothing more.
+      ASSERT_EQ(delivered.size(),
+                kContractFirstDelete / max_edges * max_edges);
+      EXPECT_TRUE(std::equal(delivered.begin(), delivered.end(),
+                             events.edges.begin()));
+      EXPECT_EQ(s->status().code(), StatusCode::kInvalidArgument)
+          << s->status().ToString();
+
+      // Sticky: further edge-only calls return empty without pulling.
+      const std::uint64_t pulled = s->edges_delivered();
+      std::vector<Edge> batch{Edge(7, 8)};
+      EXPECT_EQ(s->NextBatch(max_edges, &batch), 0u);
+      EXPECT_TRUE(batch.empty());
+      EXPECT_TRUE(s->NextBatchView(max_edges, &batch).empty());
+      EXPECT_EQ(s->edges_delivered(), pulled);
+      EXPECT_EQ(s->status().code(), StatusCode::kInvalidArgument);
+
+      if (!c.resets) continue;
+      s->Reset();
+      EXPECT_TRUE(s->status().ok()) << s->status().ToString();
+      if (c.replays) ExpectSameEvents(DrainEvents(*s, max_edges), events);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EverySource, EdgeOnlyContractTest, ::testing::ValuesIn(ContractCases()),
+    [](const ::testing::TestParamInfo<SourceCase>& info) {
+      return info.param.name;
+    });
+
+TEST(TurnstileFailureTest, DedupEdgeOnlyReadFailsAtFirstAdmittedDelete) {
+  // The delete of (5, 6) removes nothing live: the filter drops it, so
+  // the dedup stream's edge-only read runs on to the delete of (0, 1).
+  EdgeEventList events;
+  events.Add(Edge(0, 1));
+  events.Add(Edge(5, 6), EdgeOp::kDelete);
+  events.Add(Edge(1, 2));
+  events.Add(Edge(0, 1), EdgeOp::kDelete);
+  events.Add(Edge(2, 3));
+
+  MemoryEdgeStream raw(events);
+  std::vector<Edge> batch;
+  EXPECT_EQ(raw.NextBatch(1, &batch), 1u);
+  EXPECT_EQ(raw.NextBatch(1, &batch), 0u);
+  EXPECT_EQ(raw.status().code(), StatusCode::kInvalidArgument);
+
+  DedupEdgeStream dedup(std::make_unique<MemoryEdgeStream>(events));
+  std::vector<Edge> delivered;
+  while (dedup.NextBatch(1, &batch) > 0) {
+    delivered.insert(delivered.end(), batch.begin(), batch.end());
+  }
+  EXPECT_EQ(delivered, (std::vector<Edge>{Edge(0, 1), Edge(1, 2)}));
+  EXPECT_EQ(dedup.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

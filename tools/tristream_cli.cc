@@ -241,15 +241,21 @@ Flags ParseFlags(int argc, char** argv, int first, const Command& command) {
 /// Strict non-negative integer parse. A typo'd or out-of-range value
 /// ("--window 10x", "--listen banana", 21-digit counts) gets a
 /// diagnostic and the usage text instead of being silently misread.
+/// True when `text` is a non-empty run of decimal digits. Checked before
+/// every strtoull, which alone is too forgiving: it skips whitespace,
+/// accepts a sign (wrapping "-1" to 2^64-1), and stops at the first bad
+/// character.
+bool IsDigits(const std::string& text) {
+  return !text.empty() &&
+         text.find_first_not_of("0123456789") == std::string::npos;
+}
+
 std::uint64_t FlagU64(const std::map<std::string, std::string>& flags,
                       const std::string& name, std::uint64_t fallback) {
   const auto it = flags.find(name);
   if (it == flags.end()) return fallback;
   const std::string& text = it->second;
-  // strtoull alone is too forgiving: it skips whitespace, accepts a sign
-  // (wrapping "-1" to 2^64-1), and stops at the first bad character.
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
+  if (!IsDigits(text)) {
     std::fprintf(stderr, "flag %s expects a non-negative integer, got '%s'\n",
                  FlagSpelling(name).c_str(), text.c_str());
     std::exit(Usage());
@@ -949,10 +955,11 @@ std::vector<std::uint64_t> ParseKillList(const std::string& text) {
     if (comma == std::string::npos) comma = text.size();
     const std::string item = text.substr(start, comma - start);
     if (!item.empty()) {
-      char* end = nullptr;
+      const bool digits = IsDigits(item);
       errno = 0;
-      const unsigned long long value = std::strtoull(item.c_str(), &end, 10);
-      if (errno != 0 || end == item.c_str() || *end != '\0') {
+      const unsigned long long value =
+          digits ? std::strtoull(item.c_str(), nullptr, 10) : 0;
+      if (!digits || errno == ERANGE) {
         std::fprintf(stderr,
                      "--chaos-kill-after: '%s' is not an event count\n",
                      item.c_str());
