@@ -72,7 +72,7 @@ int main() {
 
   std::printf(
       "\nshape check: the vector path wins and its advantage grows with r\n"
-      "(the lane sweep is the only per-batch loop it changes; the edgeIter\n"
-      "passes are O(w) either way and shared between modes).\n");
+      "(the lane sweep is the only per-batch loop it changes; the batch\n"
+      "index build is O(w) either way and shared between modes).\n");
   return bit_identical ? 0 : 1;
 }

@@ -8,7 +8,7 @@
 //   2. Decide the level-1 reservoir replacement from word 0:
 //      pick = mulhi(x0, m+w); replace iff pick >= m, chosen batch offset
 //      pick - m. Replacing lanes are emitted (ascending) for the scalar
-//      chain-building tail.
+//      Step-1 tail.
 //   3. Decide Step-2b candidacy: a lane only has level-2 work when one of
 //      its level-1 endpoints gained in-batch neighbors, so probe a Bloom
 //      filter of the batch's vertices with the lane's r1 endpoints.
@@ -17,7 +17,7 @@
 //      construction, so probing the stale endpoint arrays never drops
 //      them and the fused sweep emits exactly the candidate set a
 //      post-replacement probe would. False positives cost one redundant
-//      degree-table probe; false negatives are impossible, so skipped
+//      batch-index lookup; false negatives are impossible, so skipped
 //      lanes provably have a = b = 0 and Step 2b cannot change them.
 //   4. For candidate lanes only, emit draw word 1 -- compacted alongside
 //      the candidate list, so non-candidate lanes (the vast majority once
@@ -44,7 +44,7 @@ namespace kernels {
 
 // Bloom hash: bit index = top `log2_bits` bits of v * kBloomHashMul. One
 // probe per vertex; shared by the batch-side insert (scalar, in
-// triangle_counter.cc) and the lane-side probes here, so changing it in
+// batch_index.cc) and the lane-side probes here, so changing it in
 // one place keeps the no-false-negative guarantee.
 inline constexpr std::uint64_t kBloomHashMul = 0x9E3779B97F4A7C15ULL;
 

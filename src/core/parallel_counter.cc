@@ -1,6 +1,7 @@
 #include "core/parallel_counter.h"
 
 #include <algorithm>
+#include <barrier>
 #include <limits>
 #include <thread>
 
@@ -45,6 +46,10 @@ ParallelTriangleCounter::ParallelTriangleCounter(
     shard_first_.push_back(first);
     first += shard_opt.num_estimators;
   }
+  // The largest shard decides whether the shared index carries the Bloom
+  // filter: a shard probes it exactly when w * 8 <= its r.
+  largest_shard_ = base + (remainder > 0 ? 1 : 0);
+  barrier_ = std::make_unique<std::barrier<>>(threads);
   shards_.resize(threads);
   partials_.resize(threads);
   partial_groups_ = options.aggregation == Aggregation::kMedianOfMeans
@@ -88,9 +93,16 @@ ParallelTriangleCounter::ParallelTriangleCounter(
 }
 
 void ParallelTriangleCounter::PublishAbsorbTask() {
+  // One generation per batch: the slots build the shared index together
+  // (two phases, each closed by the barrier), then every shard resolves
+  // its own lanes against it.
   pool_->SetTask([this](std::size_t slot) {
-    shards_[slot]->ProcessEdges(view_);
-    shards_[slot]->Flush();
+    const auto part = static_cast<std::uint32_t>(slot);
+    index_.BuildPart(part);
+    barrier_->arrive_and_wait();
+    index_.FinishPart(part);
+    barrier_->arrive_and_wait();
+    shards_[slot]->AbsorbIndexedBatch(view_, index_);
   });
   absorb_task_published_ = true;
 }
@@ -135,6 +147,9 @@ void ParallelTriangleCounter::DispatchView(std::span<const Edge> view) {
   aggregates_valid_ = false;
   WaitForInFlight();
   view_ = view;
+  // The previous generation was the index's last reader; one index, reset
+  // in place, serves every batch.
+  index_.Reset(view, num_shards(), view.size() * 8 <= largest_shard_);
   // The batch travels through view_, not a lambda capture: the absorb
   // task is published once (SetTask) and re-dispatched per batch, so the
   // steady-state dispatch constructs no std::function at all.

@@ -4,17 +4,20 @@
 // that neighborhood sampling "is amenable to parallelization" (realized in
 // the authors' follow-up CIKM'13 work). This is the natural shared-memory
 // parallelization: the r estimators are split into per-thread shards, each
-// an independent bulk TriangleCounter with its own RNG stream; every batch
-// of edges is broadcast to all shards, which absorb it concurrently.
-// Estimator independence makes the parallel composition *exactly* the
-// serial algorithm with a different RNG assignment -- all accuracy
-// theorems carry over verbatim, and estimates aggregate across the union
-// of shards.
+// an independent bulk TriangleCounter with its own RNG stream. Every batch
+// of edges is indexed once (core::BatchIndex: edgeIter's events, which by
+// Observation 3.6 depend on the batch alone), the pool slots build that
+// index together, and every shard then resolves its own estimators against
+// it concurrently. A batch thus costs O(w) once plus O(r) split over the
+// shards, not O(w) per shard. Estimator independence makes the parallel
+// composition *exactly* the serial algorithm with a different RNG
+// assignment -- all accuracy theorems carry over verbatim, and estimates
+// aggregate across the union of shards.
 //
 // Execution substrate (pipeline/barrier protocol)
 // -----------------------------------------------
-// The counter owns a persistent util::ThreadPool with one slot per shard
-// and two edge buffers:
+// The counter owns a persistent util::ThreadPool with one slot per shard,
+// two edge buffers and one BatchIndex:
 //
 //   caller thread:   fill buffer A  | fill buffer B   | fill buffer A ...
 //   pool workers:                   | absorb buffer A | absorb buffer B ...
@@ -22,17 +25,24 @@
 // When the fill buffer reaches the batch size w, the counter (1) waits for
 // the in-flight generation, if any, to complete (the pool's generation
 // barrier -- this is what keeps batch N+1 strictly after batch N on every
-// shard), then (2) dispatches the filled buffer to all shards and
-// immediately starts filling the other buffer. Shard k is touched only by
-// pool slot k between Dispatch and Wait, and only by the caller otherwise,
-// so shards need no locking. Flush() dispatches any partial batch and then
-// waits -- a full barrier, after which estimates may be read.
+// shard, and what frees the index for reuse), then (2) resets the index
+// to the filled buffer and dispatches one generation, and immediately
+// starts filling the other buffer. Inside the generation slot k builds its
+// owner partition of the index, all slots meet at a std::barrier, slot k
+// fills the degree snapshots of its chunk of positions, the slots meet
+// again, and slot k's shard absorbs the batch reading the now read-only
+// index. Shard k is touched only by pool slot k between Dispatch and
+// Wait, and only by the caller otherwise, so shards need no locking.
+// Flush() dispatches any partial batch and then waits -- a full barrier,
+// after which estimates may be read.
 //
 // Because the generation barrier preserves the batch boundaries and the
-// per-shard batch order, pipelining changes *when* work happens but not
-// *what* each shard computes: estimates are bit-identical to T serial
-// TriangleCounters seeded the way the constructor seeds its shards and fed
-// the same batches (parallel_counter_test locks this).
+// per-shard batch order, and the index is a pure function of the batch
+// (whatever the number of slots building it), pipelining changes *when*
+// work happens but not *what* each shard computes: estimates are
+// bit-identical to T serial TriangleCounters seeded the way the
+// constructor seeds its shards and fed the same batches
+// (parallel_counter_test locks this).
 //
 // Pinning (options.pin_threads) binds slot k to the cpu util::Topology
 // plans for it, round-robin across NUMA nodes. Shards are constructed
@@ -61,11 +71,13 @@
 #define TRISTREAM_CORE_PARALLEL_COUNTER_H_
 
 #include <array>
+#include <barrier>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "core/batch_index.h"
 #include "core/triangle_counter.h"
 #include "util/thread_pool.h"
 #include "util/types.h"
@@ -196,6 +208,14 @@ class ParallelTriangleCounter {
   /// What every worker's absorb generation reads. Written only while the
   /// pool is idle (DispatchView's barrier publishes it).
   std::span<const Edge> view_;
+  /// The shared index of view_: reset by the caller while the pool is
+  /// idle, built by all slots inside the absorb generation, then read by
+  /// every shard.
+  BatchIndex index_;
+  /// Separates the index build phases inside the absorb generation.
+  std::unique_ptr<std::barrier<>> barrier_;
+  /// Estimators in the largest shard (shards differ by at most one).
+  std::uint64_t largest_shard_ = 0;
   /// True when the absorb task is the one currently published to the pool
   /// (EnsureAggregates' reduction generation unpublishes it).
   bool absorb_task_published_ = false;

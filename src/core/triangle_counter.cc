@@ -1,9 +1,7 @@
 #include "core/triangle_counter.h"
 
 #include <algorithm>
-#include <bit>
 
-#include "core/bulk_engine.h"
 #include "core/estimator_kernels.h"
 #include "util/logging.h"
 #include "util/stats.h"
@@ -11,8 +9,6 @@
 namespace tristream {
 namespace core {
 namespace {
-
-constexpr std::uint32_t kNil = 0xffffffffu;
 
 double TransitivityFrom(double triangles, double wedges) {
   if (wedges <= 0.0) return 0.0;
@@ -26,20 +22,6 @@ SimdIsa ResolveIsaOrDie(SimdMode mode) {
   // is ever constructed.
   TRISTREAM_CHECK(isa.has_value());
   return *isa;
-}
-
-// Bloom sizing for the Step-2b candidate filter: 64 bits per inserted
-// vertex (a batch inserts at most 2w), power of two so the hash is a pure
-// shift, floored at 512 bits and capped at 2^26 bits (8 MiB) so a
-// pathological batch cannot own the cache -- past the cap the false-
-// positive rate degrades gracefully and only costs redundant degree
-// probes. The generous per-vertex budget matters: every false positive
-// sends a lane through the scalar Step-2b probe, so at r >> w lanes even
-// a few percent of false positives would dominate the batch.
-int BloomLog2Bits(std::uint64_t w) {
-  const std::uint64_t target = std::max<std::uint64_t>(512, 128 * w);
-  const int log2_bits = 64 - std::countl_zero(target - 1);
-  return std::min(log2_bits, 26);
 }
 
 // r1 endpoints are stored packed (u in the low word, v in the high word)
@@ -125,26 +107,26 @@ TriangleCounter::TriangleCounter(const TriangleCounterOptions& options)
       r1_pos_(options.num_estimators, kInvalidEdgeIndex),
       c_(options.num_estimators, 0),
       r1_uv_(options.num_estimators, 0),
-      deg_(1024),
-      level1_(1024),
-      level2_(1024),
-      closers_(1024),
-      chain_next_(options.num_estimators, kNil),
-      closer_next_(options.num_estimators, kNil),
-      beta_rep_u_(options.num_estimators, 0),
-      beta_rep_v_(options.num_estimators, 0),
       draw2_(options.num_estimators, 0),
       replacers_(options.num_estimators, 0),
       replace_batch_idx_(options.num_estimators, 0),
       candidates_(options.num_estimators, 0) {
   TRISTREAM_CHECK(options.num_estimators > 0);
-  // Chain heads and lane lists index estimators with 32-bit values.
-  TRISTREAM_CHECK(options.num_estimators < kNil);
+  // Lane lists index estimators with 32-bit values.
+  TRISTREAM_CHECK(options.num_estimators < 0xffffffffu);
   TRISTREAM_CHECK(batch_size_ > 0);
   // Callers may pass an effectively-infinite batch size to disable
   // self-batching (the parallel wrapper owns batch boundaries); cap the
   // eager reservation.
   pending_.reserve(std::min<std::size_t>(batch_size_, std::size_t{1} << 22));
+  // Size the batch index's arrays for a full batch now, on the
+  // constructing thread, rather than growing them inside the first batch:
+  // serve mode creates a counter per session, and that growth on the
+  // worker threads fragments glibc's per-thread arenas, which shows as a
+  // higher peak RSS. Only up to 64K-edge batches (at most ~2.5 MB of
+  // address space, touched as batches fill it); larger ones, and the
+  // parallel counter's shards, which never build an index, grow on demand.
+  if (batch_size_ <= (std::size_t{1} << 16)) index_.Reserve(batch_size_);
 }
 
 void TriangleCounter::ProcessEdge(const Edge& e) {
@@ -169,44 +151,43 @@ void TriangleCounter::ProcessEdges(std::span<const Edge> edges) {
 
 void TriangleCounter::Flush() {
   if (pending_.empty()) return;
-  ApplyBatch(pending_);
+  // The Bloom filter is wanted exactly when ApplyBatch will probe it.
+  index_.Build(pending_, pending_.size() * 8 <= cold_.size());
+  ApplyBatch(pending_, index_);
   applied_edges_ += pending_.size();
   pending_.clear();
 }
 
-void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
+void TriangleCounter::AbsorbIndexedBatch(std::span<const Edge> batch,
+                                         const BatchIndex& index) {
+  TRISTREAM_CHECK(pending_.empty());
+  if (batch.empty()) return;
+  ApplyBatch(batch, index);
+  applied_edges_ += batch.size();
+}
+
+void TriangleCounter::ApplyBatch(std::span<const Edge> batch,
+                                 const BatchIndex& index) {
   const std::uint64_t m_before = applied_edges_;
   const std::uint64_t w = batch.size();
   const std::uint64_t r = cold_.size();
   // Chosen batch offsets travel through 32-bit lane outputs.
   TRISTREAM_CHECK(w <= 0xffffffffu);
-
-  // Pre-size the scratch tables to their per-batch worst case so no
-  // rehash happens mid-batch: deg_ holds at most 2w vertices, L at most
-  // min(r, w) batch indices, P at most min(r, 2w) event keys (each edge
-  // fires two EVENTBs), Q at most r awaited closers. Reserve() only ever
-  // grows, so after the first full-size batch these are no-ops. The cap
-  // bounds eager memory for pathologically large batches; past it the
-  // tables fall back to growing on demand.
-  constexpr std::uint64_t kMaxEagerReserve = std::uint64_t{1} << 22;
-  deg_.Reserve(std::min(2 * w, kMaxEagerReserve));
-  level1_.Reserve(std::min(std::min(w, r), kMaxEagerReserve));
-  level2_.Reserve(std::min(std::min(2 * w, r), kMaxEagerReserve));
-  closers_.Reserve(std::min(r, kMaxEagerReserve));
+  TRISTREAM_CHECK_EQ(index.size(), w);
 
   // ---------------------------------------------------------------------
   // Step 0 -- fused lane sweep (SIMD kernel). Every estimator draws its
   // Threefry block for this batch: word 0 decides the level-1 replacement
   // (keep with probability m/(m+w), Sec. 3.3's reservoir step) and picks
   // the replacement batch edge in the same draw; word 1 feeds the Step-2b
-  // candidate draw. The same pass probes a Bloom filter of the batch's
-  // vertices with each lane's r1 endpoints to pre-filter Step-2b: a lane
-  // only has level-2 work when one of its endpoints gained in-batch
-  // neighbors. No false negatives -- a filtered lane provably has
-  // a = b = 0 (its β is zero and its endpoints are absent from deg_), and
-  // replacing lanes are candidates unconditionally, so probing their
-  // stale endpoints cannot drop them. A false positive just repeats the
-  // old per-lane degree-probe work. Lanes are independent streams keyed
+  // candidate draw. The same pass probes the index's Bloom filter of the
+  // batch's vertices with each lane's r1 endpoints to pre-filter Step 2b:
+  // a lane only has level-2 work when one of its endpoints gained
+  // in-batch neighbors. No false negatives -- a filtered lane provably has
+  // a = b = 0 (its β is zero and its endpoints are not batch vertices),
+  // and replacing lanes are candidates unconditionally, so probing their
+  // stale endpoints cannot drop them. A false positive just costs one
+  // redundant index lookup. Lanes are independent streams keyed
   // (seed, lane), so the sweep vectorizes with no cross-lane state and
   // every ISA produces the same bits.
   // ---------------------------------------------------------------------
@@ -216,24 +197,15 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
   // the kernel then marks every lane a candidate. The cutoff is a pure
   // function of (w, r), never of the ISA, so dispatch stays bit-identical.
   const bool use_filter = w * 8 <= r;
-  const int log2_bits = use_filter ? BloomLog2Bits(w) : 6;
-  if (use_filter) {
-    bloom_.assign(std::size_t{1} << (log2_bits - 6), 0);
-    for (const Edge& e : batch) {
-      const std::uint64_t bit_u = kernels::BloomBitIndex(e.u, log2_bits);
-      const std::uint64_t bit_v = kernels::BloomBitIndex(e.v, log2_bits);
-      bloom_[bit_u >> 6] |= std::uint64_t{1} << (bit_u & 63);
-      bloom_[bit_v >> 6] |= std::uint64_t{1} << (bit_v & 63);
-    }
-  }
+  TRISTREAM_CHECK(!use_filter || index.bloom() != nullptr);
   kernels::SweepArgs sweep_args;
   sweep_args.seed = options_.seed;
   sweep_args.batch_no = batch_no_;
   sweep_args.m_before = m_before;
   sweep_args.w = w;
   sweep_args.lanes = r;
-  sweep_args.bloom = use_filter ? bloom_.data() : nullptr;
-  sweep_args.log2_bits = log2_bits;
+  sweep_args.bloom = use_filter ? index.bloom() : nullptr;
+  sweep_args.log2_bits = use_filter ? index.bloom_log2_bits() : 6;
   sweep_args.r1_uv = r1_uv_.data();
   sweep_args.replacers = replacers_.data();
   sweep_args.batch_idx = replace_batch_idx_.data();
@@ -244,12 +216,9 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
   const std::size_t num_candidates = counts.candidates;
 
   // ---------------------------------------------------------------------
-  // Step 1 -- scalar chain-building tail over the ~r·w/(m+w) replacing
-  // lanes: install the chosen batch edge, reset the level-2 state, and
-  // chain the lane into L[batch_idx] so Step 2a can record its β values
-  // during the sweep.
+  // Step 1 -- scalar tail over the ~r·w/(m+w) replacing lanes: install
+  // the chosen batch edge and reset the level-2 state.
   // ---------------------------------------------------------------------
-  level1_.Clear();
   for (std::size_t k = 0; k < num_replacers; ++k) {
     const std::uint32_t est = replacers_[k];
     const std::uint32_t batch_idx = replace_batch_idx_[k];
@@ -260,70 +229,24 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
     st.r2_pos = kInvalidEdgeIndex;
     c_[est] = 0;
     st.has_triangle = false;
-    // Chain-head convention for all three tables: a stored value of 0 means
-    // "empty" (operator[] default-constructs to 0), otherwise head-1 is the
-    // first chain entry. L chains link *replacer-list* indices (not lane
-    // indices) so Step 2a can write the β snapshots in replacer order; the
-    // Step-2b merge walk reads them back without scattered lane-indexed
-    // loads. chain_next_ is shared with the Step-2b level-2 chains -- safe,
-    // because L chains are fully consumed by Step 2a before Step 2b writes.
-    std::uint32_t& head = level1_[batch_idx];
-    chain_next_[k] = head == 0 ? kNil : head - 1;
-    head = static_cast<std::uint32_t>(k) + 1;
   }
 
   // ---------------------------------------------------------------------
-  // Step 2a -- first edgeIter sweep: record β(r1)(x), β(r1)(y) for every
-  // estimator that replaced its level-1 edge (Observation 3.6 needs the
-  // degree snapshot at the moment r1 was added). After the sweep, deg_
-  // holds deg_B. Snapshots land in replacer order (beta_rep_*[k] for
-  // replacers_[k]); every non-replacing lane has β = 0 by definition, so
-  // nothing needs clearing at end of batch.
+  // Step 2 -- per candidate lane, everything edgeIter's two sweeps used to
+  // deliver, read from the index (Observation 3.6):
+  //   * β(r1)(x), β(r1)(y): the EVENTA snapshot at r1's position, for
+  //     lanes that replaced r1 in this batch (0 for all others);
+  //   * a = deg_B(x) − β(r1)(x), b likewise: the in-batch candidates c+;
+  //   * the level-2 draw over c− + a + b (Algorithm 3). An in-batch pick
+  //     names an EVENTB (v, d), which the index resolves to position j;
+  //   * the closing-edge check: a kept open wedge closes iff its closing
+  //     edge is in the batch; a wedge whose r2 is batch[j] closes iff the
+  //     closing edge occurs after j.
+  // Lanes are independent, so each is finished in one visit.
   // ---------------------------------------------------------------------
-  RunEdgeIter(
-      batch, deg_,
-      [&](std::size_t j, const Edge&) {  // EVENTA
-        const std::uint32_t* head = level1_.Find(j);
-        if (head == nullptr || *head == 0) return;
-        for (std::uint32_t k = *head - 1; k != kNil; k = chain_next_[k]) {
-          const std::uint64_t uv = r1_uv_[replacers_[k]];
-          beta_rep_u_[k] = *deg_.Find(UvLo(uv));
-          beta_rep_v_[k] = *deg_.Find(UvHi(uv));
-        }
-      },
-      [](std::size_t, const Edge&, VertexId, std::uint32_t) {});
-
-  // ---------------------------------------------------------------------
-  // Step 2b -- choose every estimator's level-2 edge over the combined
-  // candidate space: c− old candidates plus c+ = a + b in-batch candidates
-  // (Algorithm 3's translation of a uniform draw into an EVENTB
-  // subscription in P, or "keep current r2"). Estimators keeping an open
-  // wedge subscribe their awaited closing edge in Q for the Step-3 pass.
-  // Only the lanes the fused sweep emitted as candidates are visited; the
-  // Bloom pre-filter guarantees every skipped lane has a = b = 0.
-  // ---------------------------------------------------------------------
-  level2_.Clear();
-  closers_.Clear();
-  std::uint64_t pending_assignments = 0;
-
-  // Q and P chains link candidate-list positions, not lane indices: the
-  // positions a batch touches are dense (so the chain arrays stay within a
-  // few cache lines instead of scattering over all r lanes), and
-  // candidates_ maps a position back to its lane wherever a chain is
-  // consumed.
-  auto subscribe_closer = [&](std::uint32_t k, std::uint32_t est_idx) {
-    const ColdState& st = cold_[est_idx];
-    const std::uint64_t uv = r1_uv_[est_idx];
-    const Edge r1(UvLo(uv), UvHi(uv));
-    const std::uint64_t key = ClosingEdge(r1, st.r2).Key();
-    std::uint32_t& head = closers_[key];
-    closer_next_[k] = head == 0 ? kNil : head - 1;
-    head = k + 1;
-  };
-
   // Both lists from the fused sweep are ascending and every replacer is a
-  // candidate, so a two-pointer merge pairs each candidate with its β
-  // snapshot (zero for non-replacers) without lane-indexed loads.
+  // candidate, so a two-pointer merge finds each replacer's batch position
+  // without lane-indexed loads.
   std::size_t kr = 0;
   for (std::size_t k = 0; k < num_candidates; ++k) {
     const std::uint32_t i = candidates_[k];
@@ -335,27 +258,33 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
       __builtin_prefetch(&cold_[pi]);
       __builtin_prefetch(&r1_uv_[pi]);
     }
-    std::uint32_t beta_u = 0;
-    std::uint32_t beta_v = 0;
+    if (k + 4 < num_candidates) {
+      // Second stage: r1_uv_ of the lane four ahead was hinted four
+      // iterations ago, so its endpoints can now hint the index probes.
+      const std::uint64_t ahead = r1_uv_[candidates_[k + 4]];
+      index.PrefetchEventsOf(UvLo(ahead));
+      index.PrefetchEventsOf(UvHi(ahead));
+    }
+    BatchIndex::DegreesAfter beta;
     if (kr < num_replacers && replacers_[kr] == i) {
-      beta_u = beta_rep_u_[kr];
-      beta_v = beta_rep_v_[kr];
+      beta = index.degrees_after(replace_batch_idx_[kr]);
       ++kr;
     }
     // Every lane replaces in the very first batch (pick < m_before is
     // impossible at m_before = 0), so r1 is always set by the time any
     // candidate reaches this loop; avoid the extra scattered r1_pos_ load.
     TRISTREAM_DCHECK(r1_pos_[i] != kInvalidEdgeIndex);
-    ColdState& st = cold_[i];
     const std::uint64_t uv = r1_uv_[i];
-    const std::uint32_t* du = deg_.Find(UvLo(uv));
-    const std::uint32_t* dv = deg_.Find(UvHi(uv));
-    const std::uint64_t a = (du != nullptr ? *du : 0) - beta_u;
-    const std::uint64_t b = (dv != nullptr ? *dv : 0) - beta_v;
+    const BatchIndex::VertexEvents ex = index.EventsOf(UvLo(uv));
+    const BatchIndex::VertexEvents ey = index.EventsOf(UvHi(uv));
+    const std::uint64_t a = ex.degree - beta.u;
+    const std::uint64_t b = ey.degree - beta.v;
     if (a + b == 0) {
       // Bloom false positive: no in-batch neighbors after all.
       continue;
     }
+    const Edge r1(UvLo(uv), UvHi(uv));
+    ColdState& st = cold_[i];
     const std::uint64_t c_minus = c_[i];
     const std::uint64_t c_total = c_minus + a + b;
     c_[i] = c_total;
@@ -365,74 +294,24 @@ void TriangleCounter::ApplyBatch(std::span<const Edge> batch) {
     if (phi <= c_minus) {
       // Keep the current r2; its wedge may still be closed by a batch edge.
       if (st.r2_pos != kInvalidEdgeIndex && !st.has_triangle) {
-        subscribe_closer(static_cast<std::uint32_t>(k), i);
+        st.has_triangle =
+            index.LastPosition(ClosingEdge(r1, st.r2).Key()) >= 0;
       }
       continue;
     }
-    // Algorithm 3: translate the draw into the EVENTB that identifies the
-    // chosen in-batch edge.
-    std::uint64_t event_key;
-    if (phi <= c_minus + a) {
-      event_key = PackEventKey(
-          UvLo(uv), beta_u + static_cast<std::uint32_t>(phi - c_minus));
-    } else {
-      event_key = PackEventKey(
-          UvHi(uv), beta_v + static_cast<std::uint32_t>(phi - c_minus - a));
-    }
-    st.r2 = Edge();
-    st.r2_pos = kInvalidEdgeIndex;
-    st.r2_pending = true;
-    st.has_triangle = false;
-    std::uint32_t& head = level2_[event_key];
-    chain_next_[k] = head == 0 ? kNil : head - 1;
-    head = static_cast<std::uint32_t>(k) + 1;
-    ++pending_assignments;
+    // Algorithm 3: the draw picks EVENTB (v, d), the d-th in-batch
+    // neighbor event of one r1 endpoint; the index names its position.
+    const bool at_x = phi <= c_minus + a;
+    const BatchIndex::VertexEvents& ev = at_x ? ex : ey;
+    const std::uint64_t d = at_x ? beta.u + (phi - c_minus)
+                                 : beta.v + (phi - c_minus - a);
+    TRISTREAM_CHECK(d >= 1 && d <= ev.degree);
+    const std::uint32_t j = ev.positions[d - 1];
+    st.r2 = batch[j];
+    st.r2_pos = m_before + j;
+    st.has_triangle =
+        index.LastPosition(ClosingEdge(r1, st.r2).Key()) > std::int64_t{j};
   }
-
-  // ---------------------------------------------------------------------
-  // Steps 2c + 3 -- second edgeIter sweep (the paper's Sec. 4 notes merge
-  // these into one pass). Per edge, first complete any wedge awaiting this
-  // edge as its closer (Q), then deliver EVENTB subscriptions (P), turning
-  // event picks into concrete level-2 edges whose own closers are then
-  // subscribed in Q for the remainder of the batch.
-  // ---------------------------------------------------------------------
-  std::uint64_t performed_assignments = 0;
-  RunEdgeIter(
-      batch, deg_,
-      [&]([[maybe_unused]] std::size_t j,
-          const Edge& e) {  // EVENTA: closing-edge check
-        const std::uint32_t* head = closers_.Find(e.Key());
-        if (head == nullptr || *head == 0) return;
-#ifndef NDEBUG
-        // Only the DCHECK below reads pos; release builds skip the
-        // computation entirely (the NDEBUG DCHECK never evaluates its
-        // argument).
-        const std::uint64_t pos = m_before + j;
-#endif
-        for (std::uint32_t k = *head - 1; k != kNil; k = closer_next_[k]) {
-          ColdState& st = cold_[candidates_[k]];
-          TRISTREAM_DCHECK(st.r2_pos < pos);
-          st.has_triangle = true;
-        }
-      },
-      [&](std::size_t j, const Edge& e, VertexId v, std::uint32_t d) {
-        // EVENTB(j, e, v, d): deliver pending level-2 assignments.
-        std::uint32_t* head = level2_.Find(PackEventKey(v, d));
-        if (head == nullptr || *head == 0) return;
-        for (std::uint32_t k = *head - 1; k != kNil; k = chain_next_[k]) {
-          const std::uint32_t i = candidates_[k];
-          ColdState& st = cold_[i];
-          TRISTREAM_DCHECK(st.r2_pending);
-          st.r2 = e;
-          st.r2_pos = m_before + j;
-          st.r2_pending = false;
-          st.has_triangle = false;
-          subscribe_closer(k, i);
-          ++performed_assignments;
-        }
-        *head = 0;  // chain consumed; the event cannot fire again
-      });
-  TRISTREAM_CHECK_EQ(pending_assignments, performed_assignments);
   ++batch_no_;
 }
 
@@ -532,7 +411,6 @@ const std::vector<EstimatorState>& TriangleCounter::estimators() {
     st.r2_pos = cold_[i].r2_pos;
     st.c = c_[i];
     st.has_triangle = cold_[i].has_triangle;
-    st.r2_pending = cold_[i].r2_pending;
   }
   return snapshot_;
 }
@@ -552,8 +430,9 @@ void TriangleCounter::SaveState(ckpt::ByteSink& sink) const {
     sink.WriteU32(cs.r2.u);
     sink.WriteU32(cs.r2.v);
     sink.WriteU64(cs.r2_pos);
-    sink.WriteU8(static_cast<std::uint8_t>((cs.has_triangle ? 1 : 0) |
-                                           (cs.r2_pending ? 2 : 0)));
+    // Bit 1 once flagged a level-2 draw awaiting its EVENTB; draws now
+    // resolve inside the batch, so it is always clear between batches.
+    sink.WriteU8(cs.has_triangle ? 1 : 0);
   }
   sink.WriteU64(pending_.size());
   for (const Edge& e : pending_) {
@@ -590,12 +469,11 @@ Status TriangleCounter::RestoreState(ckpt::ByteSource& source) {
     TRISTREAM_RETURN_IF_ERROR(source.ReadU32(&cs.r2.v));
     TRISTREAM_RETURN_IF_ERROR(source.ReadU64(&cs.r2_pos));
     TRISTREAM_RETURN_IF_ERROR(source.ReadU8(&flags));
-    if (flags > 3) {
+    if (flags > 1) {
       return Status::CorruptData("estimator " + std::to_string(i) +
                                  " carries unknown flag bits");
     }
-    cs.has_triangle = (flags & 1) != 0;
-    cs.r2_pending = (flags & 2) != 0;
+    cs.has_triangle = flags != 0;
   }
   std::uint64_t pending_count = 0;
   TRISTREAM_RETURN_IF_ERROR(source.ReadU64(&pending_count));
@@ -625,13 +503,11 @@ TriangleCounter::MemoryStats TriangleCounter::ApproxMemoryUsage() const {
       r1_uv_.capacity() * sizeof(std::uint64_t) +
       snapshot_.capacity() * sizeof(EstimatorState);
   stats.batch_scratch_bytes =
-      pending_.capacity() * sizeof(Edge) + deg_.MemoryBytes() +
-      level1_.MemoryBytes() + level2_.MemoryBytes() + closers_.MemoryBytes() +
-      (chain_next_.capacity() + closer_next_.capacity() +
-       beta_rep_u_.capacity() + beta_rep_v_.capacity() + replacers_.capacity() +
-       replace_batch_idx_.capacity() + candidates_.capacity()) *
+      pending_.capacity() * sizeof(Edge) + index_.MemoryBytes() +
+      (replacers_.capacity() + replace_batch_idx_.capacity() +
+       candidates_.capacity()) *
           sizeof(std::uint32_t) +
-      (draw2_.capacity() + bloom_.capacity()) * sizeof(std::uint64_t);
+      draw2_.capacity() * sizeof(std::uint64_t);
   return stats;
 }
 

@@ -7,11 +7,11 @@
 //   * TriangleCounter -- the bulk algorithm of Sec. 3.3 (Theorem 3.5):
 //     batches of w edges are absorbed in O(r + w) time and O(r + w) space,
 //     so with w = Θ(r) the whole stream costs O(m + r) -- amortized O(1)
-//     per edge. Includes the paper's Sec. 4 note merging Steps 2c and 3
-//     into one pass; the per-estimator sweeps (level-1 resampling, the
-//     level-2 candidate draw) run as SIMD lane sweeps over counter-based
-//     RNG streams (src/core/README.md documents the pipeline and the
-//     determinism contract).
+//     per edge. The O(w) part is one core::BatchIndex build per batch
+//     (edgeIter's events, materialised once); the O(r) part is a SIMD lane
+//     sweep over counter-based RNG streams plus O(1) index lookups per
+//     estimator that has level-2 work (src/core/README.md documents the
+//     pipeline and the determinism contract).
 //
 // Both expose unbiased estimates of the triangle count τ (Lemma 3.2), the
 // wedge count ζ (Lemma 3.10), and the transitivity coefficient κ = 3τ/ζ
@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "ckpt/serial.h"
+#include "core/batch_index.h"
 #include "core/neighborhood_sampler.h"
-#include "util/flat_hash_map.h"
 #include "util/rng.h"
 #include "util/simd.h"
 #include "util/status.h"
@@ -90,7 +90,7 @@ struct EstimatorState {
   EdgeIndex r2_pos = kInvalidEdgeIndex;       // stream position of r2
   std::uint64_t c = 0;                        // |N(r1)| so far
   bool has_triangle = false;                  // wedge r1r2 closed?
-  bool r2_pending = false;                    // batch-transient marker
+  bool r2_pending = false;  // never set: level-2 draws resolve in-batch
 
   bool has_r1() const { return r1_pos != kInvalidEdgeIndex; }
   bool has_r2() const { return r2_pos != kInvalidEdgeIndex; }
@@ -147,6 +147,13 @@ class TriangleCounter {
   /// Absorbs any buffered edges immediately. Estimates call this
   /// implicitly; it exists so callers can bound staleness themselves.
   void Flush();
+
+  /// Absorbs `batch` as exactly one batch, reading the events from
+  /// `index`, a finished build of the same batch -- the entry point of the
+  /// sharded counter, which builds one index per batch for all its shards.
+  /// Requires pending_edges() == 0.
+  void AbsorbIndexedBatch(std::span<const Edge> batch,
+                          const BatchIndex& index);
 
   /// Total edges pushed (buffered edges included).
   std::uint64_t edges_processed() const {
@@ -256,10 +263,9 @@ class TriangleCounter {
     Edge r2;                               // level-2 edge
     EdgeIndex r2_pos = kInvalidEdgeIndex;  // stream position of r2
     bool has_triangle = false;             // wedge r1r2 closed?
-    bool r2_pending = false;               // batch-transient marker
   };
 
-  void ApplyBatch(std::span<const Edge> batch);
+  void ApplyBatch(std::span<const Edge> batch, const BatchIndex& index);
 
   TriangleCounterOptions options_;
   std::size_t batch_size_;
@@ -275,20 +281,14 @@ class TriangleCounter {
   std::vector<Edge> pending_;
   std::uint64_t applied_edges_ = 0;
 
-  // Reusable per-batch scratch (cleared per batch; see Sec. 3.3.2).
-  FlatHashMap<std::uint32_t> deg_;        // vertex -> in-batch degree
-  FlatHashMap<std::uint32_t> level1_;     // L: batch index -> chain head
-  FlatHashMap<std::uint32_t> level2_;     // P: EVENTB key -> chain head
-  FlatHashMap<std::uint32_t> closers_;    // Q: awaited edge key -> chain head
-  std::vector<std::uint32_t> chain_next_;   // shared chain storage (per est.)
-  std::vector<std::uint32_t> closer_next_;  // Q chain storage (per est.)
-  std::vector<std::uint32_t> beta_rep_u_;  // β(r1)(x)/β(r1)(y) snapshots in
-  std::vector<std::uint32_t> beta_rep_v_;  //   replacer order (Step 2a->2b)
+  // The index of the counter's own batches; shards of the parallel
+  // counter leave it empty and read the shared one.
+  BatchIndex index_;
+  // Per-batch lane lists from the fused sweep (reused across batches).
   std::vector<std::uint64_t> draw2_;      // per-lane Step-2b draw word
   std::vector<std::uint32_t> replacers_;  // lanes replacing r1 (ascending)
   std::vector<std::uint32_t> replace_batch_idx_;  // their chosen batch edge
   std::vector<std::uint32_t> candidates_;  // lanes passing the Bloom filter
-  std::vector<std::uint64_t> bloom_;       // batch-vertex Bloom bits
 };
 
 }  // namespace core

@@ -643,6 +643,19 @@ bool Server::EvictColdestDetached() {
       continue;
     }
     rec.scheduled = false;
+    // Absorb the backlog before the snapshot: events admitted into the
+    // queue before the detach must not be dropped with the queue, so the
+    // restore ack equals what the server admitted. Step() pulls whole
+    // batches only -- the fetch sequence an uninterrupted run issues -- so
+    // the snapshot stays on the uninterrupted trajectory.
+    while (rec.session->ready()) rec.session->Step();
+    if (rec.session->done()) {
+      // It failed while draining (a cadence checkpoint write): hand it
+      // back so the scheduler reaps it through the usual path.
+      rec.scheduled = true;
+      scheduler_->Add(rec.session.get());
+      continue;
+    }
     // Always fsync an eviction: this snapshot is about to become the
     // session's only copy.
     const Status saved = ckpt::SaveCheckpoint(

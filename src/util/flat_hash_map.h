@@ -1,13 +1,13 @@
 // Open-addressing hash map tuned for the bulk-processing tables.
 //
-// The paper's bulkTC implementation (Sec. 3.3 / Sec. 4) keeps three hash
-// tables per batch -- deg[] (vertex -> in-batch degree), P (event key ->
-// subscriber list head) and Q (awaited closing edge -> subscriber list head)
-// -- all of which are (a) insert/lookup only, and (b) discarded wholesale
-// after each batch. FlatHashMap is a linear-probing power-of-two table with
-// epoch-based O(1) Clear(), so per-batch reuse costs nothing. The paper used
-// GNU unordered_map; this is the production-quality equivalent (no per-node
-// allocation, cache-friendly probing).
+// The paper's bulkTC implementation (Sec. 3.3 / Sec. 4) keeps hash tables
+// per batch (deg[], and its P and Q subscription tables); core::BatchIndex
+// keeps its per-batch vertex ids and edge keys in this map. All of these
+// are (a) insert/lookup only, and (b) discarded wholesale after each
+// batch. FlatHashMap is a linear-probing power-of-two table with
+// epoch-based O(1) Clear(), so per-batch reuse costs nothing. The paper
+// used GNU unordered_map; this is the production-quality equivalent (no
+// per-node allocation, cache-friendly probing).
 //
 // Keys are 64-bit integers (vertex ids, packed edge keys, packed event
 // keys). No erase support: none of the streaming tables delete entries.
@@ -91,6 +91,12 @@ class FlatHashMap {
 
   /// True when `key` is present.
   bool Contains(std::uint64_t key) const { return Find(key) != nullptr; }
+
+  /// Hints the slot `key` hashes to into cache, so a lookup or insert a
+  /// few iterations later does not stall on it. Changes nothing.
+  void Prefetch(std::uint64_t key) const {
+    __builtin_prefetch(&slots_[U64Mixer()(key) & mask_]);
+  }
 
   /// Calls fn(key, value) for every live entry (unspecified order).
   template <typename Fn>

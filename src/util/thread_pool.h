@@ -1,6 +1,6 @@
 // Persistent worker pool with a generation barrier.
 //
-// The parallel counter broadcasts every edge batch to all estimator shards.
+// The parallel counter hands every edge batch to all estimator shards.
 // Spawning a std::thread per shard per batch pays thread-creation cost on
 // every batch and serializes ingest against absorption; this pool keeps the
 // workers alive for the life of the counter and replaces per-batch spawn

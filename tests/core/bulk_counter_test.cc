@@ -12,7 +12,6 @@
 #include <map>
 #include <vector>
 
-#include "core/bulk_engine.h"
 #include "core/triangle_counter.h"
 #include "gen/erdos_renyi.h"
 #include "graph/csr.h"
@@ -20,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "stream/edge_stream.h"
 #include "tests/core/core_test_util.h"
+#include "tests/core/edge_iter_oracle.h"
 #include "util/simd.h"
 #include "util/types.h"
 

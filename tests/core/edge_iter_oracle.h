@@ -1,20 +1,17 @@
-// Internal building blocks of the bulk-processing algorithm (Sec. 3.3).
+// Reference edgeIter (Algorithm 2 of the paper), kept as a test oracle.
 //
-// Algorithm 2 of the paper is edgeIter, "a degree-keeping edge iterator":
-// it sweeps a batch B once, maintaining the in-batch degree table deg[],
-// and emits two event kinds:
+// edgeIter sweeps a batch B once, maintaining the in-batch degree table
+// deg[], and emits two event kinds:
 //   EVENTA(i, {x,y}, deg)   -- after edge i, the degree table is deg;
 //   EVENTB(i, {x,y}, v, a)  -- after edge i, vertex v's degree became a.
 // Observation 3.6 turns these events into an implicit description of every
-// estimator's level-2 candidate set N(r1) ∩ B, which is what lets bulkTC
-// track r substreams simultaneously in O(r + w) time.
-//
-// This header is an implementation detail of core::TriangleCounter; it is
-// exposed (and unit-tested against the paper's Figure 2 worked example)
-// because the event algebra is the subtle part of the whole scheme.
+// estimator's level-2 candidate set N(r1) ∩ B. The library materialises
+// them once per batch in core::BatchIndex; this literal sweep is what the
+// index is checked against (batch_index_test.cc) and what the Figure 2
+// worked-example tests (bulk_counter_test.cc) run.
 
-#ifndef TRISTREAM_CORE_BULK_ENGINE_H_
-#define TRISTREAM_CORE_BULK_ENGINE_H_
+#ifndef TRISTREAM_TESTS_CORE_EDGE_ITER_ORACLE_H_
+#define TRISTREAM_TESTS_CORE_EDGE_ITER_ORACLE_H_
 
 #include <cstdint>
 #include <span>
@@ -24,11 +21,6 @@
 
 namespace tristream {
 namespace core {
-
-/// Packs an EVENTB subscription key: vertex v reaching in-batch degree d.
-inline std::uint64_t PackEventKey(VertexId v, std::uint32_t degree) {
-  return (static_cast<std::uint64_t>(v) << 32) | degree;
-}
 
 /// Runs Algorithm 2 over `batch`. `deg` is cleared and, after the call,
 /// holds deg_B (the in-batch degree of every touched vertex). on_event_a is
@@ -55,4 +47,4 @@ void RunEdgeIter(std::span<const Edge> batch,
 }  // namespace core
 }  // namespace tristream
 
-#endif  // TRISTREAM_CORE_BULK_ENGINE_H_
+#endif  // TRISTREAM_TESTS_CORE_EDGE_ITER_ORACLE_H_

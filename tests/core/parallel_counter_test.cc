@@ -245,6 +245,39 @@ TEST(ParallelCounterTest, BitIdenticalToSerialShardComposition) {
   }
 }
 
+TEST(ParallelCounterTest, BitIdenticalAcrossTheBloomCutover) {
+  // A shard probes the shared index's Bloom filter iff w * 8 <= its r.
+  // Batches on both sides of that cutover -- and, at r = 12029 on 4
+  // threads, a batch where the largest shard (3008) probes it and the
+  // others (3007) do not -- must still match the serial shards, which
+  // each build their own index.
+  const auto stream =
+      stream::ShuffleStreamOrder(gen::GnmRandom(400, 5000, 17), 5);
+  const std::span<const Edge> edges(stream.edges());
+  struct Case {
+    std::uint64_t r;
+    std::size_t batch;
+  };
+  for (const Case c : {Case{12000, 100}, Case{12000, 500}, Case{12000, 2000},
+                       Case{12029, 376}}) {
+    for (std::uint32_t threads = 1; threads <= 4; ++threads) {
+      ParallelCounterOptions opt = POptions(c.r, threads, 6061);
+      opt.batch_size = c.batch;
+      ParallelTriangleCounter parallel(opt);
+      SerialShardReference serial(opt);
+      parallel.ProcessEdges(edges);
+      serial.Feed(edges);
+      const auto expected = serial.Estimates();
+      EXPECT_EQ(parallel.EstimateTriangles(), expected.first)
+          << "r " << c.r << ", batch " << c.batch << ", " << threads
+          << " threads";
+      EXPECT_EQ(parallel.EstimateWedges(), expected.second)
+          << "r " << c.r << ", batch " << c.batch << ", " << threads
+          << " threads";
+    }
+  }
+}
+
 TEST(ParallelCounterTest, PipelinedDeterministicAcrossRunsAndPushShapes) {
   // Same (seed, threads) twice -> bit-identical, and single-edge pushes
   // must land on the same batch boundaries as span pushes.
