@@ -8,7 +8,6 @@
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stats.h"
-#include "util/topology.h"
 
 namespace tristream {
 namespace core {
@@ -63,25 +62,12 @@ ParallelTriangleCounter::ParallelTriangleCounter(
   buffers_[0].reserve(batch_size_);
   buffers_[1].reserve(batch_size_);
 
-  // Plan slot -> cpu only when pinning: the plan never affects results.
-  ThreadPoolOptions pool_opts;
-  if (options.pin_threads) {
-    const auto plan = Topology::Detect().PlanSlots(threads);
-    pool_opts.pin_cpus.resize(threads, -1);
-    for (std::uint32_t t = 0; t < threads; ++t) {
-      pool_opts.pin_cpus[t] = plan[t].cpu;
-    }
-  }
-  pool_ = std::make_unique<ThreadPool>(threads, pool_opts);
-  all_pinned_ = options.pin_threads;
-  for (std::uint32_t t = 0; t < threads && all_pinned_; ++t) {
-    all_pinned_ = pool_->pinned(t);
-  }
+  pool_ = std::make_unique<ThreadPool>(threads);
 
-  // Construction generation: shard k is built by worker k (after any
-  // pinning), so its estimator arrays and scratch tables are first-touched
-  // by the thread that absorbs into them. The shard seeds were fixed
-  // above, so where construction runs cannot affect results.
+  // Construction generation: shard k is built by worker k, so its
+  // estimator arrays and scratch tables are first-touched by the thread
+  // that absorbs into them. The shard seeds were fixed above, so where
+  // construction runs cannot affect results.
   pool_->Dispatch([this, &shard_opts](std::size_t slot) {
     shards_[slot] = std::make_unique<TriangleCounter>(shard_opts[slot]);
   });
@@ -295,6 +281,21 @@ Status ParallelTriangleCounter::RestoreState(ckpt::ByteSource& source) {
     fill.push_back(e);
   }
   return Status::Ok();
+}
+
+TriangleCounter::MemoryStats ParallelTriangleCounter::ApproxMemoryUsage()
+    const {
+  TriangleCounter::MemoryStats stats;
+  for (const auto& shard : shards_) {
+    const auto shard_stats = shard->ApproxMemoryUsage();
+    stats.per_estimator_bytes = shard_stats.per_estimator_bytes;
+    stats.estimator_bytes += shard_stats.estimator_bytes;
+    stats.batch_scratch_bytes += shard_stats.batch_scratch_bytes;
+  }
+  stats.batch_scratch_bytes +=
+      index_.MemoryBytes() +
+      (buffers_[0].capacity() + buffers_[1].capacity()) * sizeof(Edge);
+  return stats;
 }
 
 double ParallelTriangleCounter::EstimateTriangles() {

@@ -44,11 +44,9 @@
 // constructor seeds its shards and fed the same batches
 // (parallel_counter_test locks this).
 //
-// Pinning (options.pin_threads) binds slot k to the cpu util::Topology
-// plans for it, round-robin across NUMA nodes. Shards are constructed
-// inside a pool generation, so shard k's estimator arrays are
-// first-touched by worker k -- on its own node when pinned. Placement
-// never changes what is computed.
+// Placement: shards are constructed inside a pool generation, so shard
+// k's estimator arrays are first-touched by worker k, the thread that
+// absorbs into them. Placement never changes what is computed.
 //
 // Zero-copy ingest: engine::StreamEngine drives any stream::EdgeStream
 // through AbsorbBatchView(). Sources with stable views (mmap'd TRIS
@@ -65,7 +63,7 @@
 // vector, so the aggregate is the same statistic regardless of sharding.
 //
 // Determinism: runs are reproducible for a fixed (seed, num_threads,
-// batch) triple (neither the ingest path nor pinning affects them).
+// batch) triple (the ingest path does not affect them).
 
 #ifndef TRISTREAM_CORE_PARALLEL_COUNTER_H_
 #define TRISTREAM_CORE_PARALLEL_COUNTER_H_
@@ -96,10 +94,6 @@ struct ParallelCounterOptions {
   std::uint32_t median_groups = 12;
   /// Shared batch size w (0 = 8 * num_estimators / num_threads per shard).
   std::size_t batch_size = 0;
-  /// Pin pool slot k to its planned cpu (see the file comment). Off by
-  /// default: pinning helps when shards own their cores and hurts when the
-  /// machine is shared.
-  bool pin_threads = false;
   /// Vector ISA for each shard's lane sweeps (forwarded to
   /// TriangleCounterOptions::simd; same bit-identity contract, same
   /// exclusion from the checkpoint fingerprint).
@@ -150,13 +144,16 @@ class ParallelTriangleCounter {
     return static_cast<std::uint32_t>(shards_.size());
   }
 
-  /// True when every pool worker was successfully pinned to its planned
-  /// cpu (false when pinning was off, unavailable, or partially failed).
-  bool pinned() const { return all_pinned_; }
-
   /// Effective shared batch size w (the resolved 8r/threads default when
   /// options.batch_size was 0).
   std::size_t batch_size() const { return batch_size_; }
+
+  /// Heap bytes held: every shard's estimator state and lane scratch
+  /// (estimator_bytes, batch_scratch_bytes), plus the shared index and the
+  /// two fill buffers (batch_scratch_bytes). Read only while no batch is
+  /// in flight -- before the first dispatch, or after Flush() or an
+  /// estimate read.
+  TriangleCounter::MemoryStats ApproxMemoryUsage() const;
 
   /// Serializes the complete stream state as a sequence of per-shard
   /// blobs plus the partially filled fill buffer. Waits for any in-flight
@@ -219,7 +216,6 @@ class ParallelTriangleCounter {
   /// True when the absorb task is the one currently published to the pool
   /// (EnsureAggregates' reduction generation unpublishes it).
   bool absorb_task_published_ = false;
-  bool all_pinned_ = false;
   int fill_ = 0;
   std::size_t batch_size_;
   std::uint64_t dispatched_edges_ = 0;

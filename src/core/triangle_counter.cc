@@ -1,6 +1,7 @@
 #include "core/triangle_counter.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/estimator_kernels.h"
 #include "util/logging.h"
@@ -115,10 +116,12 @@ TriangleCounter::TriangleCounter(const TriangleCounterOptions& options)
   // Lane lists index estimators with 32-bit values.
   TRISTREAM_CHECK(options.num_estimators < 0xffffffffu);
   TRISTREAM_CHECK(batch_size_ > 0);
-  // Callers may pass an effectively-infinite batch size to disable
-  // self-batching (the parallel wrapper owns batch boundaries); cap the
-  // eager reservation.
-  pending_.reserve(std::min<std::size_t>(batch_size_, std::size_t{1} << 22));
+  // Callers may pass an infinite batch size to disable self-batching (the
+  // parallel wrapper owns batch boundaries and never fills this buffer);
+  // cap the eager reservation, and skip it for those callers.
+  if (batch_size_ != std::numeric_limits<std::size_t>::max()) {
+    pending_.reserve(std::min<std::size_t>(batch_size_, std::size_t{1} << 22));
+  }
   // Size the batch index's arrays for a full batch now, on the
   // constructing thread, rather than growing them inside the first batch:
   // serve mode creates a counter per session, and that growth on the

@@ -18,7 +18,6 @@ Result<std::unique_ptr<StreamingEstimator>> MakeEstimator(
     o.aggregation = config.aggregation;
     o.median_groups = config.median_groups;
     o.batch_size = config.batch_size;
-    o.pin_threads = config.pin_threads;
     o.simd = config.simd;
     return std::unique_ptr<StreamingEstimator>(
         std::make_unique<ParallelEstimator>(o));

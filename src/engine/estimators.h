@@ -86,8 +86,8 @@ class BulkEstimator : public StreamingEstimator {
   /// Everything that shapes the counter's RNG trajectory or state layout;
   /// the resolved batch size stands in for options_.batch_size == 0. The
   /// simd mode is deliberately absent: every ISA computes the same bits,
-  /// so snapshots restore across dispatch choices (same policy as the
-  /// parallel estimator's exclusion of pinning).
+  /// so snapshots restore across dispatch choices (the parallel estimator
+  /// leaves it out too).
   std::uint64_t config_fingerprint() const override {
     ckpt::ConfigFingerprint fp;
     fp.Mix(name());
@@ -150,18 +150,13 @@ class ParallelEstimator : public StreamingEstimator {
   bool estimates_nonperturbing() const override {
     return counter_->buffered_edges() == 0;
   }
-  /// Coarse: r sampled states (cold + hot + snapshot copies) plus the
-  /// per-shard double-buffered batch staging.
   std::size_t approx_memory_bytes() const override {
-    return static_cast<std::size_t>(options_.num_estimators) * 3 *
-               sizeof(core::EstimatorState) +
-           static_cast<std::size_t>(counter_->num_shards()) * 2 *
-               counter_->batch_size() * sizeof(Edge);
+    const auto stats = counter_->ApproxMemoryUsage();
+    return stats.estimator_bytes + stats.batch_scratch_bytes;
   }
   bool checkpointable() const override { return true; }
   /// Resolved shard count and batch size are mixed (not the raw options)
   /// so `--threads 0` cannot silently resolve differently across hosts.
-  /// Pinning is excluded: it never changes what is computed.
   std::uint64_t config_fingerprint() const override {
     ckpt::ConfigFingerprint fp;
     fp.Mix(name());
@@ -435,9 +430,6 @@ struct EstimatorConfig {
   /// estimates under every choice; validated against the host CPU by
   /// MakeEstimator.
   SimdMode simd = SimdMode::kAuto;
-  /// tsb only: pin worker k to its planned cpu; see
-  /// core::ParallelCounterOptions::pin_threads.
-  bool pin_threads = false;
   /// window only.
   std::uint64_t window_size = 1 << 16;
   /// dynamic only: independent hash groups.

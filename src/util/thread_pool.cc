@@ -1,23 +1,14 @@
 #include "util/thread_pool.h"
 
 #include "util/logging.h"
-#include "util/topology.h"
 
 namespace tristream {
 
-ThreadPool::ThreadPool(std::size_t num_threads, ThreadPoolOptions options) {
+ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
-  pinned_.assign(num_threads, 0);
   for (std::size_t slot = 0; slot < num_threads; ++slot) {
     workers_.emplace_back([this, slot] { WorkerLoop(slot); });
-    // Pin from here (not from the worker) so pinned_ is fully written
-    // before the constructor returns: no synchronization needed to read
-    // it, and the first dispatched generation already runs on-cpu.
-    if (slot < options.pin_cpus.size() && options.pin_cpus[slot] >= 0) {
-      pinned_[slot] =
-          PinThreadToCpu(workers_.back(), options.pin_cpus[slot]) ? 1 : 0;
-    }
   }
 }
 

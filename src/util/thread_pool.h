@@ -27,13 +27,10 @@
 // Dispatch and Wait, and only by the caller otherwise (the barrier provides
 // the synchronization edges both ways).
 //
-// Placement: ThreadPoolOptions::pin_cpus binds slot k to a fixed cpu
-// (util::Topology plans one cpu per slot, round-robin across NUMA nodes).
-// Because slot k's shard state is only ever touched by worker k, pinning
-// plus constructing the shard *inside a generation* (a construction
-// dispatch) first-touches its memory on the worker's own node -- the
-// node-local placement the sharded counter relies on. Pinning never
-// affects results, only where the work runs.
+// Placement: slot k's shard state is only ever touched by worker k, so
+// constructing that state *inside a generation* (a construction dispatch)
+// first-touches its memory from the thread that will use it. Where the
+// work runs never affects results.
 
 #ifndef TRISTREAM_UTIL_THREAD_POOL_H_
 #define TRISTREAM_UTIL_THREAD_POOL_H_
@@ -48,24 +45,13 @@
 
 namespace tristream {
 
-/// Placement configuration for a pool's workers.
-struct ThreadPoolOptions {
-  /// Per-slot cpu binding: slot k is pinned to pin_cpus[k] when that entry
-  /// exists and is >= 0. Missing entries and -1 leave the slot unpinned.
-  /// A pin the kernel rejects (offline/nonexistent cpu) is dropped, not
-  /// fatal -- check pinned(slot).
-  std::vector<int> pin_cpus;
-};
-
 /// Fixed-size persistent worker pool executing one task per slot per
 /// generation. Not itself thread-safe: Dispatch/Wait/SetTask must come
 /// from a single controller thread (the stream ingest thread).
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers (at least 1), applying any per-slot pins.
-  ThreadPool(std::size_t num_threads, ThreadPoolOptions options);
-  explicit ThreadPool(std::size_t num_threads)
-      : ThreadPool(num_threads, ThreadPoolOptions{}) {}
+  /// Starts `num_threads` workers (at least 1).
+  explicit ThreadPool(std::size_t num_threads);
 
   /// Waits for any in-flight generation, then stops and joins all workers.
   ~ThreadPool();
@@ -75,9 +61,6 @@ class ThreadPool {
 
   /// Number of worker slots.
   std::size_t size() const { return workers_.size(); }
-
-  /// True when slot k was successfully bound to its requested cpu.
-  bool pinned(std::size_t slot) const { return pinned_[slot] != 0; }
 
   /// Publishes `task` as the next generation and wakes all workers; every
   /// worker runs task(slot_index) once. Returns without waiting for
@@ -109,8 +92,6 @@ class ThreadPool {
   void WorkerLoop(std::size_t slot);
 
   std::vector<std::thread> workers_;
-  /// Written once in the constructor, read-only afterwards.
-  std::vector<char> pinned_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // signals workers: new generation/stop
   std::condition_variable done_cv_;  // signals controller: generation done

@@ -57,20 +57,18 @@ Estimates ReadEstimates(StreamingEstimator& est) {
 
 /// One checkpointable configuration under test. Covers the acceptance
 /// matrix: serial neighborhood sampling at small and large r, the sharded
-/// counter pinned and unpinned, and the sliding window.
+/// counter, and the sliding window.
 struct Flavor {
   const char* label;
   const char* algo;
   std::uint64_t num_estimators;
-  bool pin_threads;
 };
 
 constexpr Flavor kFlavors[] = {
-    {"bulk_r64", "bulk", 64, false},
-    {"bulk_r1024", "bulk", 1024, false},
-    {"parallel_unpinned", "tsb", 1024, false},
-    {"parallel_pinned", "tsb", 1024, true},
-    {"window", "window", 256, false},
+    {"bulk_r64", "bulk", 64},
+    {"bulk_r1024", "bulk", 1024},
+    {"parallel", "tsb", 1024},
+    {"window", "window", 256},
 };
 
 EstimatorConfig ConfigFor(const Flavor& flavor) {
@@ -80,7 +78,6 @@ EstimatorConfig ConfigFor(const Flavor& flavor) {
   config.num_threads = 3;  // tsb: shards > 1
   config.batch_size = kBatch;
   config.window_size = 900;
-  config.pin_threads = flavor.pin_threads;
   return config;
 }
 
@@ -207,7 +204,7 @@ TEST(CheckpointBlobTest, BulkRoundTripSurvivesMidBatchCut) {
   const std::span<const Edge> edges(el.edges());
   constexpr std::size_t kCut = 1337;  // not a multiple of any batch size
   for (const std::uint64_t r : {64u, 1024u}) {
-    Flavor flavor{"bulk", "bulk", r, false};
+    Flavor flavor{"bulk", "bulk", r};
     auto reference = Make(flavor);
     reference->ProcessEdges(edges);
     reference->Flush();
@@ -229,7 +226,7 @@ TEST(CheckpointBlobTest, WindowRoundTripSurvivesMidStreamCut) {
   const auto el = gen::GnmRandom(150, 2500, 33);
   const std::span<const Edge> edges(el.edges());
   constexpr std::size_t kCut = 777;
-  Flavor flavor{"window", "window", 256, false};
+  Flavor flavor{"window", "window", 256};
 
   auto reference = Make(flavor);
   reference->ProcessEdges(edges);
@@ -551,7 +548,7 @@ TEST(CheckpointResumeTest, DedupSourceReplaysFilterStateOnResume) {
 TEST(CheckpointFileTest, GenerationsRotateAndFallBack) {
   const auto el = gen::GnmRandom(100, 1024, 51);
   const std::span<const Edge> edges(el.edges());
-  Flavor flavor{"bulk", "bulk", 128, false};
+  Flavor flavor{"bulk", "bulk", 128};
   ScopedCheckpointPath ckpt("rotate");
 
   auto est = Make(flavor);
@@ -592,7 +589,7 @@ TEST(CheckpointFileTest, GenerationsRotateAndFallBack) {
 
 TEST(CheckpointFileTest, MissingBothGenerationsIsUnavailable) {
   ScopedCheckpointPath ckpt("missing");
-  Flavor flavor{"bulk", "bulk", 64, false};
+  Flavor flavor{"bulk", "bulk", 64};
   auto est = Make(flavor);
   auto info = LoadCheckpoint(ckpt.path(), *est);
   ASSERT_FALSE(info.ok());
@@ -606,7 +603,7 @@ TEST(CheckpointFileTest, CorruptPrimaryWithoutFallbackKeepsTheRealError) {
   // estimator Reset, not half-restored.
   ScopedCheckpointPath ckpt("corrupt_only");
   WriteFile(ckpt.path(), "not a checkpoint at all");
-  Flavor flavor{"bulk", "bulk", 64, false};
+  Flavor flavor{"bulk", "bulk", 64};
   auto est = Make(flavor);
   auto info = LoadCheckpoint(ckpt.path(), *est);
   ASSERT_FALSE(info.ok());
@@ -620,7 +617,7 @@ std::string SmallBlob() {
   // Small r keeps the blob a few hundred bytes, so exhaustive per-bit
   // mutation stays cheap.
   const auto el = gen::GnmRandom(60, 600, 61);
-  Flavor flavor{"bulk", "bulk", 8, false};
+  Flavor flavor{"bulk", "bulk", 8};
   auto est = Make(flavor);
   est->ProcessEdges(std::span<const Edge>(el.edges()));
   auto blob = EncodeCheckpoint(*est, kBatch);
@@ -634,7 +631,7 @@ std::string SmallBlob() {
 Status ValidateMutation(const std::string& blob) {
   auto inspected = InspectCheckpoint(blob);
   if (!inspected.ok()) return inspected.status();
-  Flavor flavor{"bulk", "bulk", 8, false};
+  Flavor flavor{"bulk", "bulk", 8};
   auto est = Make(flavor);
   auto decoded = DecodeCheckpoint(blob, *est);
   return decoded.status();
@@ -670,7 +667,7 @@ TEST(CheckpointCorruptionTest, EverySingleBitFlipIsRejected) {
 TEST(CheckpointCorruptionTest, SampledBitFlipsOnLargeBlobAreRejected) {
   // r = 4096 pushes the state section past 150 KB; sample flips across it.
   const auto el = gen::GnmRandom(300, 6000, 63);
-  Flavor flavor{"bulk", "bulk", 4096, false};
+  Flavor flavor{"bulk", "bulk", 4096};
   auto est = Make(flavor);
   est->ProcessEdges(std::span<const Edge>(el.edges()));
   auto blob = EncodeCheckpoint(*est, kBatch);
@@ -723,7 +720,7 @@ TEST(CheckpointCorruptionTest, DiagnosticsNameTheFailingPiece) {
     EXPECT_NE(s.message().find("trailing"), std::string::npos) << s;
   }
   {  // Wrong estimator type.
-    Flavor window{"window", "window", 8, false};
+    Flavor window{"window", "window", 8};
     auto est = Make(window);
     const Status s = DecodeCheckpoint(blob, *est).status();
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);

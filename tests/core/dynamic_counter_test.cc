@@ -66,18 +66,22 @@ TEST(DynamicCounterTest, ExactOnInsertOnlyStream) {
 }
 
 TEST(DynamicCounterTest, ExactUnderMixedChurn) {
+  // Light, middling and heavy delete mixes.
   const auto graph = gen::GnmRandom(40, 250, 12);
-  gen::ChurnOptions churn;
-  churn.schedule = gen::ChurnSchedule::kMixed;
-  churn.delete_fraction = 0.4;
-  churn.seed = 3;
-  const EdgeEventList events = gen::MakeChurnStream(graph, churn);
-  ASSERT_TRUE(events.has_deletes());
+  for (const double fraction : {0.1, 0.4, 0.5}) {
+    gen::ChurnOptions churn;
+    churn.schedule = gen::ChurnSchedule::kMixed;
+    churn.delete_fraction = fraction;
+    churn.seed = 3;
+    const EdgeEventList events = gen::MakeChurnStream(graph, churn);
+    ASSERT_TRUE(events.has_deletes()) << fraction;
 
-  DynamicTriangleCounter counter(ExactOptions());
-  counter.ProcessEvents(events.view());
-  EXPECT_DOUBLE_EQ(counter.EstimateTriangles(),
-                   static_cast<double>(LiveTriangles(events)));
+    DynamicTriangleCounter counter(ExactOptions());
+    counter.ProcessEvents(events.view());
+    EXPECT_DOUBLE_EQ(counter.EstimateTriangles(),
+                     static_cast<double>(LiveTriangles(events)))
+        << "delete fraction " << fraction;
+  }
 }
 
 TEST(DynamicCounterTest, ExactUnderAdversarialTail) {

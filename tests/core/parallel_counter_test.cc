@@ -297,28 +297,6 @@ TEST(ParallelCounterTest, PipelinedDeterministicAcrossRunsAndPushShapes) {
   }
 }
 
-TEST(ParallelCounterTest, PinnedBitIdenticalToUnpinned) {
-  // Pinning is placement only: for a fixed (seed, num_threads) the
-  // estimates must match the unpinned counter to the last bit.
-  const auto stream =
-      stream::ShuffleStreamOrder(gen::GnmRandom(70, 600, 11), 31);
-  for (std::uint32_t threads : {1u, 2u, 8u}) {
-    ParallelCounterOptions unpinned = POptions(12000, threads, 424242);
-    unpinned.batch_size = 500;
-    ParallelCounterOptions pinned = unpinned;
-    pinned.pin_threads = true;
-    ParallelTriangleCounter a(unpinned);
-    ParallelTriangleCounter b(pinned);
-    EXPECT_FALSE(a.pinned());
-    a.ProcessEdges(stream.edges());
-    b.ProcessEdges(stream.edges());
-    EXPECT_EQ(a.EstimateTriangles(), b.EstimateTriangles())
-        << threads << " threads";
-    EXPECT_EQ(a.EstimateWedges(), b.EstimateWedges()) << threads
-                                                      << " threads";
-  }
-}
-
 TEST(ParallelCounterTest, ShardDistributionMatchesSerialEngine) {
   // Mean per-estimator c and triangle rate must agree with a serial
   // counter at the same total r (independent seeds; statistical bound).

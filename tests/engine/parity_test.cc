@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/batch_index.h"
 #include "engine/estimators.h"
 #include "gen/erdos_renyi.h"
 #include "graph/edge_list.h"
@@ -197,6 +198,38 @@ TEST(StreamEngineTest, ReportHookFiresOnEdgeMultiples) {
   ASSERT_EQ(reported_at.size(), 4u);
   for (std::size_t i = 0; i < reported_at.size(); ++i) {
     EXPECT_GE(reported_at[i], (i + 1) * 500);
+  }
+}
+
+TEST(EstimatorMemoryTest, TsbChargeCoversSharedIndexNotPerShardStaging) {
+  // One full batch through the sharded estimator at 1 and 4 shards. The
+  // reported bytes must grow by the index that batch built, and extra
+  // shards must not each add a w-edge staging copy: the shards read one
+  // shared index and the two fill buffers, not copies of their own.
+  constexpr std::size_t kW = 16384;
+  const auto el = gen::GnmRandom(3000, kW, 17);
+  core::BatchIndex reference;
+  reference.Build(el.edges(), /*with_bloom=*/false);
+  std::size_t after_one_shard = 0;
+  for (const std::uint32_t threads : {1u, 4u}) {
+    core::ParallelCounterOptions options;
+    options.num_estimators = 4096;
+    options.num_threads = threads;
+    options.seed = 5;
+    options.batch_size = kW;
+    ParallelEstimator est(options);
+    const std::size_t before = est.approx_memory_bytes();
+    est.ProcessEdges(el.edges());
+    est.Flush();
+    const std::size_t after = est.approx_memory_bytes();
+    EXPECT_GE(after, before + reference.MemoryBytes())
+        << threads << " shards: the shared index is not charged";
+    if (threads == 1) {
+      after_one_shard = after;
+    } else {
+      EXPECT_LT(after, after_one_shard + kW * sizeof(Edge))
+          << threads << " shards: charged per-shard batch copies";
+    }
   }
 }
 

@@ -1,8 +1,8 @@
 // Tests for the persistent worker pool: every slot runs exactly once per
 // generation, Wait() is a real barrier, generations never overlap, the
 // pool survives many small generations (the workload shape the parallel
-// counter produces), slots can be pinned to cpus, and the persistent-task
-// mode re-runs a published task without reconstructing it.
+// counter produces), and the persistent-task mode re-runs a published task
+// without reconstructing it.
 
 #include "util/thread_pool.h"
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "util/topology.h"
 
 namespace tristream {
 namespace {
@@ -168,42 +167,6 @@ TEST(ThreadPoolTest, ConstructionGenerationBuildsSlotOwnedState) {
       EXPECT_EQ(x, 10 * (slot + 1));
     }
   }
-}
-
-TEST(ThreadPoolTest, PinsSlotsToRequestedCpus) {
-  // Pin every slot to a cpu we know is allowed -- the one this test is
-  // running on (a hardcoded cpu 0 would fail under restricted cpusets,
-  // e.g. docker --cpuset-cpus=2,3) -- and verify both the bookkeeping
-  // and where the tasks actually ran.
-  const int here = CurrentCpu();
-  if (here < 0) GTEST_SKIP() << "no affinity API on this platform";
-  ThreadPoolOptions options;
-  options.pin_cpus = {here, here, here};
-  ThreadPool pool(3, options);
-  std::vector<int> ran_on(3, -1);
-  pool.Dispatch([&ran_on](std::size_t slot) {
-    ran_on[slot] = CurrentCpu();
-  });
-  pool.Wait();
-  for (std::size_t slot = 0; slot < 3; ++slot) {
-    EXPECT_TRUE(pool.pinned(slot)) << "slot " << slot;
-    EXPECT_EQ(ran_on[slot], here) << "slot " << slot;
-  }
-}
-
-TEST(ThreadPoolTest, PartialAndInvalidPinsAreGraceful) {
-  // Slots beyond pin_cpus and slots pinned to -1 or an impossible cpu
-  // stay unpinned; the pool still works.
-  ThreadPoolOptions options;
-  options.pin_cpus = {0, -1, 100000};
-  ThreadPool pool(4, options);
-  EXPECT_FALSE(pool.pinned(1));
-  EXPECT_FALSE(pool.pinned(2));
-  EXPECT_FALSE(pool.pinned(3));
-  std::atomic<int> ran{0};
-  pool.Dispatch([&ran](std::size_t) { ++ran; });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 4);
 }
 
 TEST(ThreadPoolTest, ManyGenerationsStress) {

@@ -103,7 +103,7 @@ int Usage() {
       "           without running any estimator; works on text lists too.\n"
       "  stats    --input FILE\n"
       "  count    --input FILE [--algo A] [--estimators N] [--seed N]\n"
-      "           [--batch W] [--threads T] [--pin 0|1]\n"
+      "           [--batch W] [--threads T]\n"
       "           [--simd auto|off|avx2|avx512]\n"
       "           [--mmap 0|1] [--median-of-means]\n"
       "           [--checkpoint PATH [--checkpoint-every N]] [--resume PATH]\n"
@@ -121,9 +121,6 @@ int Usage() {
       "           forward, and continues to estimates bit-identical to an\n"
       "           uninterrupted run with the same flags. tsb, bulk and\n"
       "           dynamic only.\n"
-      "           --pin 1 binds tsb worker k to its planned core\n"
-      "           (round-robin across NUMA nodes). Pinning never changes\n"
-      "           estimates, only where the work runs.\n"
       "           --simd picks the vector ISA for the tsb/bulk estimator\n"
       "           sweep (auto = widest the CPU supports; every ISA is\n"
       "           bit-identical, so this only changes throughput).\n"
@@ -565,8 +562,6 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
   if (flags.count("median-of-means")) {
     config.aggregation = core::Aggregation::kMedianOfMeans;
   }
-  // tsb only: --pin binds worker k to its planned core.
-  config.pin_threads = FlagU64(flags, "pin", 0) != 0;
   if (!ParseSimdFlagInto(flags, &config.simd)) return Usage();
   auto estimator = engine::MakeEstimator(algo, config);
   if (!estimator.ok()) {
@@ -685,9 +680,8 @@ int CmdCount(const std::map<std::string, std::string>& flags) {
   if (auto* tsb =
           dynamic_cast<engine::ParallelEstimator*>(estimator->get())) {
     char buf[64];
-    std::snprintf(buf, sizeof(buf), ", %u shard(s)%s",
-                  tsb->counter().num_shards(),
-                  tsb->counter().pinned() ? ", pinned" : "");
+    std::snprintf(buf, sizeof(buf), ", %u shard(s)",
+                  tsb->counter().num_shards());
     substrate = buf;
   }
   std::printf("time            : %.3f s  (%.2f M edges/s%s)\n",
@@ -1104,10 +1098,9 @@ const Command kCommands[] = {
     {"inspect", CmdInspect, {"input"}},
     {"stats", CmdStats, {"input"}},
     {"count", CmdCount,
-     {"input", "algo", "estimators", "threads", "seed", "batch", "pin",
-      "simd", "mmap", "median-of-means", "checkpoint", "checkpoint-every",
-      "resume", "vertices", "max-degree", "colors", "groups",
-      "sample-prob"}},
+     {"input", "algo", "estimators", "threads", "seed", "batch", "simd",
+      "mmap", "median-of-means", "checkpoint", "checkpoint-every", "resume",
+      "vertices", "max-degree", "colors", "groups", "sample-prob"}},
     {"window", CmdWindow, {"input", "window", "estimators", "seed"}},
     {"live", CmdLive, {"listen", "window", "estimators", "seed", "report"}},
     {"serve", CmdServe,
